@@ -95,16 +95,25 @@ def build_config(options: RunOptions) -> DetectionConfig:
 
     ignore = options.ignore_constants
     if ignore is None:
-        ignore = [float(v) for v in doc.get("ignore_constants", [])]
+        ignore = doc.get("ignore_constants", [])
+        if not isinstance(ignore, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in ignore
+        ):
+            raise OptionsError("config ignore_constants must be a list of numbers")
 
     if options.data_regions is not None:
         regions = [_parse_data_region(t) for t in options.data_regions]
     else:
         regions = []
-        for raw in doc.get("data_regions", []):
-            if not isinstance(raw, dict) or "sheet" not in raw:
-                raise OptionsError("config data_regions entries need a 'sheet' key")
+        raw_regions = doc.get("data_regions", [])
+        if not isinstance(raw_regions, list):
+            raise OptionsError("config data_regions must be a list")
+        for raw in raw_regions:
+            if not isinstance(raw, dict) or not isinstance(raw.get("sheet"), str):
+                raise OptionsError("config data_regions entries need a string 'sheet' key")
             rng = raw.get("range")
+            if rng is not None and not isinstance(rng, str):
+                raise OptionsError("config data_regions 'range' must be a string")
             text = f"{raw['sheet']}!{rng}" if rng else raw["sheet"]
             regions.append(_parse_data_region(text))
 
@@ -115,14 +124,18 @@ def build_config(options: RunOptions) -> DetectionConfig:
         except ValueError:
             raise OptionsError(f"unknown mode {doc.get('mode')!r}") from None
 
-    operators = frozenset(doc.get("heuristic_operators", "")) or DEFAULT_OPERATOR_SET
+    operators = doc.get("heuristic_operators", "")
+    if not isinstance(operators, str):
+        raise OptionsError("config heuristic_operators must be a string of operator characters")
     cap = doc.get("max_constants_per_cell")
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
+        raise OptionsError("config max_constants_per_cell must be an integer")
     try:
         return DetectionConfig(
-            ignore_constants=frozenset(ignore),
+            ignore_constants=frozenset(float(v) for v in ignore),
             data_regions=tuple(regions),
             mode=mode,
-            heuristic_operator_set=operators,
+            heuristic_operator_set=frozenset(operators) or DEFAULT_OPERATOR_SET,
             max_reported_constants_per_cell=cap,
         )
     except ValueError as exc:

@@ -126,13 +126,18 @@ _BARE_NUMBER_RE = re.compile(
     r"^=?\s*-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[Ee][+-]?[0-9]+)?\s*$"
 )
 _HEURISTIC_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+# a formula holding one of these is a calculation, not a bare literal
+_STRUCTURAL_KINDS = frozenset(
+    {TokenKind.CELL_REF, TokenKind.RANGE_REF, TokenKind.FUNCTION_NAME}
+)
 
 
 def analyze_cell(
     cell: Cell, sheet_name: str, config: DetectionConfig, ref_style: str = "A1"
 ) -> list[Finding]:
     if cell.formula_text is not None:
-        return _analyze_formula(cell, sheet_name, config, ref_style)
+        classified = _classify_text(cell.formula_text, config, ref_style)
+        return _formula_findings(cell, sheet_name, classified)
     value = cell.cached_value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return []
@@ -149,32 +154,27 @@ def analyze_cell(
     ]
 
 
-def _analyze_formula(
-    cell: Cell, sheet_name: str, config: DetectionConfig, ref_style: str
-) -> list[Finding]:
-    formula = cell.formula_text
+# (finding kind or None, surviving constants, detail) for one formula text
+Classification = tuple[FindingKind | None, tuple[ConstantOccurrence, ...], str]
+
+
+def _classify_text(formula: str, config: DetectionConfig, ref_style: str) -> Classification:
+    """Classify one formula text, independent of the cell that holds it.
+
+    The result depends only on the arguments, so every cell holding the
+    same text under the same config and ref style shares it.
+    """
     if config.mode is DetectionMode.LEXICAL:
         try:
             tokens = tokenize(formula, ref_style)
         except LexError as exc:
-            return [
-                Finding(
-                    kind=FindingKind.UNPARSEABLE,
-                    sheet=sheet_name,
-                    address=cell.address.absolute(),
-                    formula_text=formula,
-                    cached_value=cell.cached_value,
-                    detail=str(exc),
-                )
-            ]
+            return FindingKind.UNPARSEABLE, (), str(exc)
         occurrences = [
             ConstantOccurrence(value, start, end)
             for value, (start, end) in extract_constants(tokens)
         ]
-        literal_count = len(occurrences)
-        structural = {TokenKind.CELL_REF, TokenKind.RANGE_REF, TokenKind.FUNCTION_NAME}
-        constant_only = literal_count == 1 and not any(
-            tok.kind in structural for tok in tokens
+        constant_only = len(occurrences) == 1 and not any(
+            tok.kind in _STRUCTURAL_KINDS for tok in tokens
         )
     else:
         occurrences = []
@@ -188,31 +188,56 @@ def _analyze_formula(
     if cap is not None:
         surviving = surviving[:cap]
     if not surviving:
-        return []
+        return None, (), ""
     kind = (
         FindingKind.CONSTANT_ONLY_FORMULA if constant_only else FindingKind.HARD_CODED_CONSTANT
     )
+    return kind, tuple(surviving), ""
+
+
+def _formula_findings(
+    cell: Cell, sheet_name: str, classified: Classification
+) -> list[Finding]:
+    kind, constants, detail = classified
+    if kind is None:
+        return []
     return [
         Finding(
             kind=kind,
             sheet=sheet_name,
             address=cell.address.absolute(),
-            formula_text=formula,
+            formula_text=cell.formula_text,
             cached_value=cell.cached_value,
-            constants=tuple(surviving),
+            constants=constants,
+            detail=detail,
         )
     ]
 
 
 def analyze_workbook(workbook: Workbook, config: DetectionConfig) -> AnalysisReport:
+    """Analyze every populated cell, classifying each distinct formula text once.
+
+    Copied-down formulas repeat the same text across rows and sheets;
+    the classification of a text is computed on its first cell and
+    reused for the rest of this call, where config and ref style are fixed.
+    """
     findings: list[Finding] = []
     formula_count = 0
+    classified: dict[str, Classification] = {}
     for sheet in workbook.sheets:
         for coords in sorted(sheet.cells):
             cell = sheet.cells[coords]
-            if cell.formula_text is not None:
-                formula_count += 1
-            findings.extend(analyze_cell(cell, sheet.name, config, workbook.ref_style))
+            formula = cell.formula_text
+            if formula is None:
+                findings.extend(analyze_cell(cell, sheet.name, config, workbook.ref_style))
+                continue
+            formula_count += 1
+            result = classified.get(formula)
+            if result is None:
+                result = classified[formula] = _classify_text(
+                    formula, config, workbook.ref_style
+                )
+            findings.extend(_formula_findings(cell, sheet.name, result))
     hard_coding_count = sum(
         len(f.constants) for f in findings if f.kind in CONSTANT_BEARING_KINDS
     )

@@ -14,8 +14,8 @@ kept for comparison.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 from .addresses import A1, R1C1
 
@@ -39,8 +39,7 @@ class TokenKind(Enum):
     WHITESPACE = auto()
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     start: int
@@ -156,9 +155,7 @@ def tokenize(formula_text: str, ref_style: str = A1) -> list[Token]:
             emit(TokenKind.PERCENT_SUFFIX, pos + 1)
             prev = tokens[-2] if len(tokens) >= 2 else None
             if prev is not None and prev.kind is TokenKind.NUMERIC_LITERAL:
-                tokens[-2] = Token(
-                    prev.kind, prev.text, prev.start, prev.end, prev.numeric_value / 100.0
-                )
+                tokens[-2] = prev._replace(numeric_value=prev.numeric_value / 100.0)
             continue
 
         if text.startswith(_TWO_CHAR_OPERATORS, pos):

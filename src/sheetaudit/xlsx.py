@@ -65,7 +65,10 @@ def load_xlsx(path: str | Path) -> Workbook:
             if target is None:
                 raise FormatError(f"{path}: sheet {name!r} has no worksheet part")
             visibility = _VISIBILITY.get(elem.get("state"), SheetVisibility.VISIBLE)
-            sheet_xml = _read_xml(archive, target)
+            try:
+                sheet_xml = _read_xml(archive, target)
+            except KeyError:
+                raise FormatError(f"{path}: sheet {name!r}: missing part {target}") from None
             sheets.append(_read_sheet(sheet_xml, name, visibility, shared))
 
     return Workbook(
@@ -74,10 +77,7 @@ def load_xlsx(path: str | Path) -> Workbook:
 
 
 def _read_xml(archive: zipfile.ZipFile, member: str) -> ElementTree.Element:
-    try:
-        data = archive.read(member)
-    except KeyError:
-        raise
+    data = archive.read(member)
     try:
         return ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:

@@ -1,4 +1,7 @@
 import json
+import zipfile
+
+import pytest
 
 from sheetaudit.cli import main
 from table3 import workbook_document
@@ -77,6 +80,52 @@ class TestExitCodes:
             [str(tmp_path / "ok.json"), "--out", str(tmp_path / "out"), "--config", str(config)]
         )
         assert code == 2
+
+
+    def test_missing_worksheet_part_is_an_error_row(self, tmp_path, capsys):
+        rows = '<row r="1"><c r="A1"><f>B1/12</f><v>4</v></c></row>'
+        build_xlsx(tmp_path / "good.xlsx", [{"name": "S", "rows": rows}])
+        full = tmp_path / "full.xlsx"
+        build_xlsx(full, [{"name": "S", "rows": rows}])
+        # same package without its worksheet part
+        with zipfile.ZipFile(full) as src, zipfile.ZipFile(tmp_path / "broken.xlsx", "w") as dst:
+            for info in src.infolist():
+                if info.filename != "xl/worksheets/sheet1.xml":
+                    dst.writestr(info, src.read(info))
+        full.unlink()
+        code = main(
+            [str(tmp_path / "*.xlsx"), "--out", str(tmp_path / "out"), "--format", "json"]
+        )
+        assert code == 2
+        assert "broken.xlsx" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        errors = {row["workbook_name"]: row["error"] for row in summary["rows"]}
+        assert "xl/worksheets/sheet1.xml" in errors["broken.xlsx"]
+        assert errors["good.xlsx"] is None
+        assert (tmp_path / "out" / "good.findings.json").exists()
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"ignore_constants": ["a"]},
+            {"ignore_constants": 5},
+            {"max_constants_per_cell": "3"},
+            {"max_constants_per_cell": 2.5},
+            {"heuristic_operators": 5},
+            {"data_regions": [{"sheet": 5}]},
+            {"data_regions": [{"sheet": "Data", "range": 7}]},
+            {"data_regions": 5},
+        ],
+    )
+    def test_mistyped_config_value_exits_two(self, tmp_path, capsys, document):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps(document))
+        write_clean(tmp_path / "ok.json")
+        code = main(
+            [str(tmp_path / "ok.json"), "--out", str(tmp_path / "out"), "--config", str(config)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: config ")
 
 
 class TestOutputs:

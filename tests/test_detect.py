@@ -1,6 +1,10 @@
 import random
 
-from formula_gen import FULL_A1, FormulaGen
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sheetaudit.detect
+from formula_gen import FULL_A1, FULL_R1C1, FormulaGen
 from sheetaudit.addresses import CellAddress
 from sheetaudit.detect import (
     AnalysisReport,
@@ -299,3 +303,81 @@ class TestInvariants:
                 if f.kind in bearing
             }
             assert heu_cells <= lex_cells
+
+
+# texts the lexer rejects, in both reference styles
+UNPARSEABLE_TEXTS = ['=A1&"unterminated', "=#BOGUS+1", "=2~3", "='Open sheet+4"]
+
+
+@st.composite
+def repeated_text_workbooks(draw):
+    """A workbook whose formula texts each sit in several cells, plus a config."""
+    ref_style = draw(st.sampled_from(["A1", "R1C1"]))
+    gen = FormulaGen(
+        seed=draw(st.integers(0, 10_000)),
+        profile=FULL_A1 if ref_style == "A1" else FULL_R1C1,
+    )
+    texts = gen.corpus(draw(st.integers(1, 6)))
+    texts += draw(st.lists(st.sampled_from(UNPARSEABLE_TEXTS), max_size=2))
+    sheet_count = draw(st.integers(1, 3))
+    slots = [(s, r, c) for s in range(sheet_count) for r in range(1, 9) for c in range(1, 4)]
+    chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=30, unique=True))
+    cells: list[dict] = [{} for _ in range(sheet_count)]
+    for s, row, col in chosen:
+        if draw(st.booleans()):
+            cells[s][(row, col)] = make_cell(row, col, formula=draw(st.sampled_from(texts)))
+        else:
+            cells[s][(row, col)] = make_cell(row, col, value=draw(st.sampled_from([0, 1, 2.5, "x"])))
+    workbook = Workbook(
+        name="repeat",
+        sheets=tuple(Sheet(name=f"S{s}", cells=cells[s]) for s in range(sheet_count)),
+        ref_style=ref_style,
+    )
+    config = DetectionConfig(
+        mode=draw(st.sampled_from(list(DetectionMode))),
+        ignore_constants=frozenset(draw(st.lists(st.sampled_from([0, 1, 2, 12, 200])))),
+        data_regions=draw(st.sampled_from([(), (DataRegion("S0"),)])),
+        max_reported_constants_per_cell=draw(st.none() | st.integers(1, 3)),
+    )
+    return workbook, config
+
+
+class TestClassificationMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_text_workbooks())
+    def test_workbook_findings_equal_per_cell_findings(self, case):
+        workbook, config = case
+        expected = []
+        for sheet in workbook.sheets:
+            for coords in sorted(sheet.cells):
+                expected += analyze_cell(
+                    sheet.cells[coords], sheet.name, config, workbook.ref_style
+                )
+        assert list(analyze_workbook(workbook, config).findings) == expected
+
+    def test_tokenize_called_once_per_distinct_text(self, monkeypatch):
+        calls: list[str] = []
+        original = sheetaudit.detect.tokenize
+
+        def counting(formula, ref_style="A1"):
+            calls.append(formula)
+            return original(formula, ref_style)
+
+        monkeypatch.setattr(sheetaudit.detect, "tokenize", counting)
+        texts = ["=A1*12", "=B2+C3", '="open', "=A1*12 "]
+        sheets = tuple(
+            Sheet(
+                name=f"S{s}",
+                cells={
+                    (row, 1): make_cell(row, 1, formula=texts[row % len(texts)])
+                    for row in range(1, 41)
+                },
+            )
+            for s in range(3)
+        )
+        report = analyze_workbook(Workbook(name="copies", sheets=sheets), DetectionConfig())
+        assert report.formula_count == 120
+        assert sorted(calls) == sorted(texts)
+        # the memo lives for one call only
+        analyze_workbook(Workbook(name="copies", sheets=sheets), DetectionConfig())
+        assert len(calls) == 2 * len(texts)

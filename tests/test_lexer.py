@@ -8,6 +8,7 @@ from sheetaudit.addresses import CellAddress, parse_address
 from sheetaudit.lexer import (
     DEFAULT_OPERATOR_SET,
     LexError,
+    Token,
     TokenKind,
     extract_constants,
     heuristic_scan,
@@ -125,6 +126,34 @@ class TestTokenize:
             assert formula[tok.start : tok.end] == tok.text
             pos = tok.end
         assert pos == len(formula)
+
+
+class TestTokenContract:
+    def test_fields_and_default(self):
+        tok = Token(TokenKind.CELL_REF, "A1", 1, 3)
+        assert Token._fields == ("kind", "text", "start", "end", "numeric_value")
+        assert (tok.kind, tok.text, tok.start, tok.end) == (TokenKind.CELL_REF, "A1", 1, 3)
+        assert tok.numeric_value is None
+        assert tok.span == (1, 3)
+
+    def test_immutable(self):
+        tok = Token(TokenKind.NUMERIC_LITERAL, "12", 0, 2, 12.0)
+        with pytest.raises(AttributeError):
+            tok.numeric_value = 13.0
+        with pytest.raises(AttributeError):
+            tok.span = (0, 1)
+
+    def test_equality_and_hash_by_value(self):
+        a = Token(TokenKind.NUMERIC_LITERAL, "12", 0, 2, 12.0)
+        b = Token(TokenKind.NUMERIC_LITERAL, "12", 0, 2, 12.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != Token(TokenKind.NUMERIC_LITERAL, "12", 0, 2, 0.12)
+        assert a != Token(TokenKind.NUMERIC_LITERAL, "12", 1, 3, 12.0)
+
+    def test_percent_fold_back_scales_value_only(self):
+        number, percent = tokenize("7.5%")
+        assert number == Token(TokenKind.NUMERIC_LITERAL, "7.5", 0, 3, 0.075)
+        assert percent == Token(TokenKind.PERCENT_SUFFIX, "%", 3, 4)
 
 
 class TestExtractConstants:
