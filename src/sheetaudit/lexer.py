@@ -63,13 +63,6 @@ class LexError(ValueError):
 # are caught; a narrower set can be passed for strict legacy behaviour.
 DEFAULT_OPERATOR_SET = frozenset("=+-*/^&<>(,;")
 
-_WS_RE = re.compile(r"\s+")
-_NUMBER_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[Ee][+-]?[0-9]+)?")
-_A1_REF_RE = re.compile(r"\$?[A-Za-z]{1,3}\$?[0-9]+")
-_R1C1_REF_RE = re.compile(r"[Rr](?:\[-?[0-9]+\]|[0-9]+)?[Cc](?:\[-?[0-9]+\]|[0-9]+)?")
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-_WORD_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.$")
-
 _ERROR_LITERALS = (
     "#GETTING_DATA",
     "#DIV/0!",
@@ -83,8 +76,65 @@ _ERROR_LITERALS = (
     "#N/A",
 )
 
-_TWO_CHAR_OPERATORS = ("<=", ">=", "<>")
-_OPERATOR_CHARS = set("=+-*/^&<>:")
+_REF_PATTERNS = {
+    A1: r"[A-Za-z]{1,3}\$?[0-9]+",
+    R1C1: r"[Rr](?:\[-?[0-9]+\]|[0-9]+)?[Cc](?:\[-?[0-9]+\]|[0-9]+)?",
+}
+_WORD = r"[A-Za-z_][A-Za-z0-9_.]*"
+# a reference ends where none of these follows it
+_REF_END = r"(?![A-Za-z0-9_.$])"
+
+
+def _grammar(ref_style: str) -> re.Pattern:
+    """One rule per token kind, tried in table order at each position.
+
+    Each rule is a named group, so a match's ``lastgroup`` names its kind.
+    """
+    ref = _REF_PATTERNS[ref_style]
+
+    def whole_ref(name: str) -> str:
+        # The longest reference only, as an atomic group would take it:
+        # the lookahead captures the match and the backreference consumes
+        # exactly that, so backtracking cannot retry a shorter reference
+        # (R[1]C of R[1]C[-2]R) in front of the end check.
+        return f"(?=(?P<{name}>{ref}))(?P={name})"
+
+    lead = r"\$?" if ref_style == A1 else ""
+    # an unqualified reference followed by "(" or "!" is a function or sheet name
+    cell = whole_ref("cell") + r"(?![A-Za-z0-9_.$(!])"
+    if ref_style == A1:
+        # a "$"-led reference skips that check
+        cell = rf"\${whole_ref('dollar')}{_REF_END}|{cell}"
+    rules = [
+        (TokenKind.WHITESPACE, r"\s+"),
+        # (?!") keeps backtracking from closing on the first half of a "" escape
+        (TokenKind.STRING_LITERAL, r'"(?:[^"]|"")*"(?!")'),
+        (TokenKind.ERROR_LITERAL, "|".join(map(re.escape, _ERROR_LITERALS))),
+        (TokenKind.NUMERIC_LITERAL, r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[Ee][+-]?[0-9]+)?"),
+        (TokenKind.ARRAY_BRACE, r"[{}]"),
+        (TokenKind.OPEN_PAREN, r"\("),
+        (TokenKind.CLOSE_PAREN, r"\)"),
+        (TokenKind.SEPARATOR, r"[,;]"),
+        (TokenKind.PERCENT_SUFFIX, r"%"),
+        (TokenKind.OPERATOR, r"<=|>=|<>|[=+\-*/^&<>:]"),
+        (TokenKind.RANGE_REF, f"{lead}{whole_ref('first')}:{lead}{whole_ref('last')}{_REF_END}"),
+        (TokenKind.CELL_REF, cell),
+        (TokenKind.SHEET_QUALIFIER, rf"'(?:[^']|'')*'!|{_WORD}!"),
+        (TokenKind.FUNCTION_NAME, rf"{_WORD}(?=\()"),
+        (TokenKind.BOOLEAN_LITERAL, r"(?ai:TRUE|FALSE)(?![A-Za-z0-9_.])"),
+        (TokenKind.IDENTIFIER, _WORD),
+    ]
+    return re.compile("|".join(f"(?P<{kind.name}>{pattern})" for kind, pattern in rules))
+
+
+_GRAMMARS = {style: _grammar(style) for style in (A1, R1C1)}
+_KINDS = TokenKind.__members__
+_CLOSED_SHEET_RE = re.compile(r"'(?:[^']|'')*'(?!')")
+_ERROR_MESSAGES = {
+    '"': "unterminated string literal",
+    "#": "unknown error literal starting '#'",
+    "$": "'$' does not start a cell reference",
+}
 
 
 def tokenize(formula_text: str, ref_style: str = A1) -> list[Token]:
@@ -95,161 +145,36 @@ def tokenize(formula_text: str, ref_style: str = A1) -> list[Token]:
     unparseable instead of aborting the workbook.
     """
     text = formula_text
-    n = len(text)
+    match = _GRAMMARS[R1C1 if ref_style == R1C1 else A1].match
     tokens: list[Token] = []
     pos = 0
-
-    def emit(kind: TokenKind, end: int, value: float | None = None) -> None:
-        nonlocal pos
+    n = len(text)
+    while pos < n:
+        m = match(text, pos)
+        if m is None:
+            raise _lex_error(text, pos)
+        kind = _KINDS[m.lastgroup]
+        end = m.end()
+        value = None
+        if kind is TokenKind.NUMERIC_LITERAL:
+            value = float(m.group())
+        elif kind is TokenKind.PERCENT_SUFFIX and tokens:
+            prev = tokens[-1]
+            if prev.kind is TokenKind.NUMERIC_LITERAL:
+                tokens[-1] = prev._replace(numeric_value=prev.numeric_value / 100.0)
         tokens.append(Token(kind, text[pos:end], pos, end, value))
         pos = end
-
-    while pos < n:
-        ch = text[pos]
-
-        m = _WS_RE.match(text, pos)
-        if m:
-            emit(TokenKind.WHITESPACE, m.end())
-            continue
-
-        if ch == '"':
-            end = _scan_string(text, pos)
-            emit(TokenKind.STRING_LITERAL, end)
-            continue
-
-        if ch == "'":
-            end = _scan_quoted_sheet(text, pos)
-            emit(TokenKind.SHEET_QUALIFIER, end)
-            continue
-
-        if ch == "#":
-            for lit in _ERROR_LITERALS:
-                if text.startswith(lit, pos):
-                    emit(TokenKind.ERROR_LITERAL, pos + len(lit))
-                    break
-            else:
-                raise LexError(f"unknown error literal starting {ch!r}", pos)
-            continue
-
-        if ch.isdigit() or (ch == "." and pos + 1 < n and text[pos + 1].isdigit()):
-            m = _NUMBER_RE.match(text, pos)
-            assert m is not None
-            emit(TokenKind.NUMERIC_LITERAL, m.end(), float(m.group()))
-            continue
-
-        if ch in "{}":
-            emit(TokenKind.ARRAY_BRACE, pos + 1)
-            continue
-
-        if ch == "(":
-            emit(TokenKind.OPEN_PAREN, pos + 1)
-            continue
-        if ch == ")":
-            emit(TokenKind.CLOSE_PAREN, pos + 1)
-            continue
-        if ch in ",;":
-            emit(TokenKind.SEPARATOR, pos + 1)
-            continue
-
-        if ch == "%":
-            emit(TokenKind.PERCENT_SUFFIX, pos + 1)
-            prev = tokens[-2] if len(tokens) >= 2 else None
-            if prev is not None and prev.kind is TokenKind.NUMERIC_LITERAL:
-                tokens[-2] = prev._replace(numeric_value=prev.numeric_value / 100.0)
-            continue
-
-        if text.startswith(_TWO_CHAR_OPERATORS, pos):
-            emit(TokenKind.OPERATOR, pos + 2)
-            continue
-        if ch in _OPERATOR_CHARS:
-            emit(TokenKind.OPERATOR, pos + 1)
-            continue
-
-        if ch == "$":
-            if ref_style == A1:
-                ref_end = _match_ref(text, pos, ref_style)
-                if ref_end is not None:
-                    _emit_ref(emit, text, pos, ref_end, ref_style)
-                    continue
-            raise LexError("'$' does not start a cell reference", pos)
-
-        if ch.isalpha() or ch == "_":
-            ref_end = _match_ref(text, pos, ref_style)
-            if ref_end is not None and not _is_call_or_sheet(text, ref_end):
-                _emit_ref(emit, text, pos, ref_end, ref_style)
-                continue
-            m = _WORD_RE.match(text, pos)
-            assert m is not None
-            word = m.group()
-            end = m.end()
-            nxt = text[end] if end < n else ""
-            if nxt == "(":
-                emit(TokenKind.FUNCTION_NAME, end)
-            elif nxt == "!":
-                emit(TokenKind.SHEET_QUALIFIER, end + 1)
-            elif word.upper() in ("TRUE", "FALSE"):
-                emit(TokenKind.BOOLEAN_LITERAL, end)
-            else:
-                emit(TokenKind.IDENTIFIER, end)
-            continue
-
-        raise LexError(f"illegal character {ch!r}", pos)
-
     return tokens
 
 
-def _scan_string(text: str, start: int) -> int:
-    i = start + 1
-    n = len(text)
-    while i < n:
-        if text[i] == '"':
-            if i + 1 < n and text[i + 1] == '"':
-                i += 2
-                continue
-            return i + 1
-        i += 1
-    raise LexError("unterminated string literal", start)
-
-
-def _scan_quoted_sheet(text: str, start: int) -> int:
-    i = start + 1
-    n = len(text)
-    while i < n:
-        if text[i] == "'":
-            if i + 1 < n and text[i + 1] == "'":
-                i += 2
-                continue
-            if i + 1 < n and text[i + 1] == "!":
-                return i + 2
-            raise LexError("quoted sheet name not followed by '!'", start)
-        i += 1
-    raise LexError("unterminated quoted sheet name", start)
-
-
-def _match_ref(text: str, pos: int, ref_style: str) -> int | None:
-    """Return the end offset of a cell reference at pos, or None."""
-    pattern = _R1C1_REF_RE if ref_style == R1C1 else _A1_REF_RE
-    m = pattern.match(text, pos)
-    if m is None:
-        return None
-    end = m.end()
-    if end < len(text) and text[end] in _WORD_CHARS:
-        return None
-    return end
-
-
-def _is_call_or_sheet(text: str, end: int) -> bool:
-    return end < len(text) and text[end] in "(!"
-
-
-def _emit_ref(emit, text: str, start: int, end: int, ref_style: str) -> None:
-    # a colon joining two references makes a single range token
-    if end < len(text) and text[end] == ":":
-        second = _match_ref(text, end + 1, ref_style)
-        if second is not None:
-            emit(TokenKind.RANGE_REF, second)
-            return
-    emit(TokenKind.CELL_REF, end)
+def _lex_error(text: str, pos: int) -> LexError:
+    """The error for the first character at pos that no rule matches."""
+    ch = text[pos]
+    if ch == "'":
+        if _CLOSED_SHEET_RE.match(text, pos):
+            return LexError("quoted sheet name not followed by '!'", pos)
+        return LexError("unterminated quoted sheet name", pos)
+    return LexError(_ERROR_MESSAGES.get(ch, f"illegal character {ch!r}"), pos)
 
 
 def extract_constants(tokens: list[Token]) -> list[tuple[float, tuple[int, int]]]:
@@ -277,7 +202,7 @@ def heuristic_scan(
     for i, ch in enumerate(formula_text):
         if ch == '"':
             in_string = not in_string
-        elif not in_string and ch.isdigit() and prev in operator_set:
+        elif not in_string and "0" <= ch <= "9" and prev in operator_set:
             flagged.append(i)
         prev = ch
     return flagged

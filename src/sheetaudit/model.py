@@ -229,11 +229,16 @@ def _sheet_from_document(raw: object, location: str) -> Sheet:
         except ValueError as exc:
             raise SchemaError(cell_loc, str(exc)) from None
 
+    raw_merged = raw.get("merged", [])
+    if not isinstance(raw_merged, list):
+        raise SchemaError(f"{location}/merged", "must be an array of range strings")
     merged: list[Rectangle] = []
-    for i, ref in enumerate(raw.get("merged", [])):
+    for i, ref in enumerate(raw_merged):
+        if not isinstance(ref, str):
+            raise SchemaError(f"{location}/merged/{i}", "range must be a string")
         try:
             merged.append(parse_range(ref))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"{location}/merged/{i}", str(exc)) from None
 
     hidden_rows = _index_set(raw.get("hidden_rows", []), f"{location}/hidden_rows")
@@ -291,6 +296,8 @@ def load_json(path: str | Path) -> Workbook:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("", f"not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise SchemaError("", f"not UTF-8 text: {exc}") from None
     return workbook_from_document(doc, source_path=str(path))
 
 

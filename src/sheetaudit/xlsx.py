@@ -121,13 +121,17 @@ def _read_sheet(
     for mc in root.findall("main:mergeCells/main:mergeCell", _NS):
         ref = mc.get("ref")
         if ref:
-            merged.append(parse_range(ref))
+            try:
+                merged.append(parse_range(ref))
+            except ValueError as exc:
+                raise FormatError(f"sheet {name!r}: {exc}") from None
 
     hidden_rows = set()
     hidden_cols = set()
     for col in root.findall("main:cols/main:col", _NS):
         if col.get("hidden") in ("1", "true"):
-            hidden_cols.update(range(int(col.get("min")), int(col.get("max")) + 1))
+            first, last = _index_attr(col, "min", name), _index_attr(col, "max", name)
+            hidden_cols.update(range(first, last + 1))
 
     # shared-formula masters, keyed by si attribute
     shared_formulas: dict[str, str] = {}
@@ -136,7 +140,7 @@ def _read_sheet(
 
     for row in root.findall("main:sheetData/main:row", _NS):
         if row.get("hidden") in ("1", "true"):
-            hidden_rows.add(int(row.get("r")))
+            hidden_rows.add(_index_attr(row, "r", name))
         for c in row.findall("main:c", _NS):
             ref = c.get("r")
             if not ref:
@@ -214,6 +218,19 @@ def _read_cell_content(
         else:
             value = _parse_number(raw)
     return formula, value
+
+
+def _index_attr(elem: ElementTree.Element, key: str, sheet_name: str) -> int:
+    """A 1-based row or column index attribute."""
+    raw = elem.get(key)
+    try:
+        index = int(raw)
+    except (TypeError, ValueError):
+        index = 0
+    if index < 1:
+        tag = elem.tag.rpartition("}")[2]
+        raise FormatError(f"sheet {sheet_name!r}: <{tag}> {key}={raw!r} is not an index >= 1")
+    return index
 
 
 def _parse_number(raw: str) -> Scalar:

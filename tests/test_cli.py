@@ -128,6 +128,39 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: config ")
 
 
+# one bad attribute or value each; every case must become an error row
+MALFORMED_SHEETS = {
+    "merge-ref.xlsx": {"merged": ["A1:ZZ"]},
+    "col-min.xlsx": {"cols": '<cols><col min="x" max="2" hidden="1"/></cols>'},
+    "col-no-bounds.xlsx": {"cols": '<cols><col hidden="1"/></cols>'},
+    "col-negative.xlsx": {"cols": '<cols><col min="-1" max="2" hidden="1"/></cols>'},
+    "row-r.xlsx": {"rows": '<row r="x" hidden="1"/>'},
+}
+MALFORMED_JSON = {
+    "merged-not-list.json": b'{"name": "m", "sheets": [{"name": "S", "merged": 5}]}',
+    "merged-entry.json": b'{"name": "m", "sheets": [{"name": "S", "merged": [5]}]}',
+    "not-utf8.json": b'{"name": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("broken_name", [*MALFORMED_SHEETS, *MALFORMED_JSON])
+def test_malformed_workbook_is_an_error_row(tmp_path, capsys, broken_name):
+    write_fixture(tmp_path / "good.json")
+    broken = tmp_path / broken_name
+    if broken_name in MALFORMED_SHEETS:
+        build_xlsx(broken, [{"name": "S", **MALFORMED_SHEETS[broken_name]}])
+    else:
+        broken.write_bytes(MALFORMED_JSON[broken_name])
+    code = main([str(tmp_path / "*"), "--out", str(tmp_path / "out"), "--format", "json"])
+    assert code == 2
+    assert broken_name in capsys.readouterr().err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    errors = {row["workbook_name"]: row["error"] for row in summary["rows"]}
+    assert errors[broken_name]
+    assert errors["good"] is None
+    assert (tmp_path / "out" / "good.findings.json").exists()
+
+
 class TestOutputs:
     def test_reports_written_per_format(self, tmp_path):
         write_fixture(tmp_path / "wb.json")

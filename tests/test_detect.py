@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sheetaudit.detect
@@ -101,6 +101,14 @@ class TestAnalyzeCell:
         config = DetectionConfig(mode=DetectionMode.HEURISTIC)
         [finding] = analyze_cell(make_cell(1, 1, formula="=9732311"), "S", config)
         assert finding.kind is FindingKind.CONSTANT_ONLY_FORMULA
+
+    @given(st.text(), st.sampled_from(list(DetectionMode)), st.sampled_from(["A1", "R1C1"]))
+    @example("=A2*\u00b2", DetectionMode.HEURISTIC, "A1")
+    @example("=A1*\u0661", DetectionMode.LEXICAL, "A1")
+    def test_any_formula_text_is_classified(self, text, mode, ref_style):
+        cell = make_cell(1, 1, formula=text)
+        findings = analyze_cell(cell, "S", DetectionConfig(mode=mode), ref_style)
+        assert len(findings) <= 1
 
 
 class TestAnalyzeWorkbook:

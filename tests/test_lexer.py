@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from formula_gen import FULL_A1, FULL_R1C1, ORACLE_A1, ORACLE_R1C1, FormulaGen
@@ -116,6 +116,29 @@ class TestTokenize:
         with pytest.raises(LexError):
             tokenize("=A1~B2")
 
+    @pytest.mark.parametrize(
+        "formula,style,message,offset",
+        [
+            # a reference with "$" inside is still a function name before "("
+            ("=A$1(", "A1", "'$' does not start a cell reference", 2),
+            # the longest reference is taken whole, then rejected by what follows
+            ("=R[1]C[-2]R", "R1C1", "illegal character '['", 2),
+            ("=RC[-2][", "R1C1", "illegal character '['", 7),
+            ('="ab""', "A1", "unterminated string literal", 1),
+            ("='ab''", "A1", "unterminated quoted sheet name", 1),
+            ("='ab'+1", "A1", "quoted sheet name not followed by '!'", 1),
+            ("=#BOGUS", "A1", "unknown error literal starting '#'", 1),
+            ("=$1", "R1C1", "'$' does not start a cell reference", 1),
+            # non-ASCII digits and letters are outside the grammar
+            ("=A2*\u00b2", "A1", "illegal character '\u00b2'", 4),
+            ("=\u00dcnit*2", "A1", "illegal character '\u00dc'", 1),
+        ],
+    )
+    def test_lex_error_message_and_offset(self, formula, style, message, offset):
+        with pytest.raises(LexError) as exc_info:
+            tokenize(formula, style)
+        assert (exc_info.value.message, exc_info.value.offset) == (message, offset)
+
     def test_spans_are_contiguous_and_cover_input(self):
         formula = "=IF(F7<0, F7*Data!$E$39/12, 0)"
         tokens = tokenize(formula)
@@ -196,6 +219,7 @@ class TestRoundTrip:
             "=IF(F8<0, F8*Data!$E$39/12, 0)",
             '="a""b"&C3',
             "={1,2;3}+A1:B2%",
+            "=$A1(2)",
         ],
     )
     def test_exact_identity(self, formula):
@@ -227,6 +251,23 @@ class TestProperties:
                 assert extract_constants(tokenize(formula, style)) == digit_run_constants(
                     formula
                 ), formula
+
+    @given(st.text(), st.sampled_from(["A1", "R1C1"]))
+    @example("=$A1(2)", "A1")
+    @example("=A$1(", "A1")
+    @example("=R[1]C[-2]R", "R1C1")
+    @example("=RC[-2][", "R1C1")
+    @example('="ab""', "A1")
+    @example("='ab''", "A1")
+    @example("=A2*\u00b2", "A1")
+    @example("=\u00dcnit*2", "R1C1")
+    def test_total_over_any_text(self, text, style):
+        # either tokens that render back to the input, or a LexError
+        try:
+            tokens = tokenize(text, style)
+        except LexError:
+            return
+        assert render(tokens) == text
 
     @given(st.text(alphabet=st.characters(blacklist_characters='"'), max_size=20))
     def test_string_literal_immunity(self, content):
