@@ -82,6 +82,8 @@ def _load_config_document(path: Path) -> dict:
         raise OptionsError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise OptionsError(f"config {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise OptionsError(f"config {path} is JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise OptionsError(f"config {path} must be a JSON object")
     for key in doc:

@@ -296,6 +296,8 @@ def load_json(path: str | Path) -> Workbook:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("", f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise SchemaError("", "JSON nested too deeply") from None
         except UnicodeDecodeError as exc:
             raise SchemaError("", f"not UTF-8 text: {exc}") from None
     return workbook_from_document(doc, source_path=str(path))

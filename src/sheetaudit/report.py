@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 
 from .addresses import parse_address
 from .detect import (
@@ -130,7 +131,7 @@ def render_detail(
 ) -> RenderedDocument:
     stem = f"{safe_filename(report.workbook_name)}.findings"
     if format is Format.JSON:
-        return _finish(format, _json_body(report_to_document(report)), stem)
+        return _finish(format, _detail_json(report), stem)
 
     head = [
         ["Workbook Name", "Workbook Location", "Wks", "F'm", "Hard", "Num'c"],
@@ -181,47 +182,90 @@ def render_detail(
     return _finish(format, "".join(parts), stem)
 
 
+def _detail_json(report: AnalysisReport) -> str:
+    """The detail document, in the bytes of ``json.dumps(doc, ensure_ascii=False, indent=1)``.
+
+    Written straight from the report: with any ``indent`` the standard
+    library leaves its C encoder for a generator per container, which on
+    a desk-scale workbook cost more than loading and analysing it.
+    Strings go through the same C escaper that encoder uses.
+    """
+    q = encode_basestring
+    findings = []
+    for f in report.findings:
+        text = '  {\n   "kind": %s,\n   "sheet": %s,\n   "cell": %s' % (
+            q(f.kind.value), q(f.sheet), q(f.address.render())
+        )
+        if f.formula_text is not None:
+            text += ',\n   "formula": ' + q(f.formula_text)
+        if f.cached_value is not None:
+            value = f.cached_value
+            text += ',\n   "value": ' + (q(value) if isinstance(value, str) else _json_number(value))
+        if f.constants:
+            text += ',\n   "constants": ' + _json_array(
+                [
+                    '    {\n     "value": %s,\n     "start": %d,\n     "end": %d\n    }'
+                    % (_json_number(o.value), o.start, o.end)
+                    for o in f.constants
+                ],
+                "   ",
+            )
+        if f.detail:
+            text += ',\n   "detail": ' + q(f.detail)
+        findings.append(text + "\n  }")
+    warnings = [
+        '  {\n   "kind": %s,\n   "sheet": %s,\n   "count": %d,\n   "locations": %s\n  }'
+        % (
+            q(w.kind.value),
+            q(w.sheet),
+            w.count,
+            _json_array(["    " + q(loc) for loc in w.locations], "   "),
+        )
+        for w in report.warnings
+    ]
+    return (
+        '{\n "schema_version": %d,\n "kind": "detail",\n'
+        ' "workbook": {\n  "name": %s,\n  "location": %s\n },\n'
+        ' "counts": {\n  "worksheets": %d,\n  "formulas": %d,\n'
+        '  "hard_codings": %d,\n  "numeric_values": %d\n },\n'
+        ' "findings": %s,\n "warnings": %s\n}\n'
+        % (
+            SCHEMA_VERSION,
+            q(report.workbook_name),
+            q(report.workbook_location),
+            report.worksheet_count,
+            report.formula_count,
+            report.hard_coding_count,
+            report.numeric_value_count,
+            _json_array(findings, " "),
+            _json_array(warnings, " "),
+        )
+    )
+
+
+# how ``json`` spells the scalars whose ``repr`` is not JSON
+_JSON_SPELLINGS = {
+    "True": "true",
+    "False": "false",
+    "inf": "Infinity",
+    "-inf": "-Infinity",
+    "nan": "NaN",
+}
+
+
+def _json_number(value: float) -> str:
+    text = repr(value)
+    return _JSON_SPELLINGS.get(text, text)
+
+
+def _json_array(items: list[str], closing_indent: str) -> str:
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + closing_indent + "]"
+
+
 def report_to_document(report: AnalysisReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "detail",
-        "workbook": {"name": report.workbook_name, "location": report.workbook_location},
-        "counts": {
-            "worksheets": report.worksheet_count,
-            "formulas": report.formula_count,
-            "hard_codings": report.hard_coding_count,
-            "numeric_values": report.numeric_value_count,
-        },
-        "findings": [_finding_to_document(f) for f in report.findings],
-        "warnings": [
-            {
-                "kind": w.kind.value,
-                "sheet": w.sheet,
-                "count": w.count,
-                "locations": list(w.locations),
-            }
-            for w in report.warnings
-        ],
-    }
-
-
-def _finding_to_document(finding: Finding) -> dict:
-    doc: dict[str, object] = {
-        "kind": finding.kind.value,
-        "sheet": finding.sheet,
-        "cell": finding.address.render(),
-    }
-    if finding.formula_text is not None:
-        doc["formula"] = finding.formula_text
-    if finding.cached_value is not None:
-        doc["value"] = finding.cached_value
-    if finding.constants:
-        doc["constants"] = [
-            {"value": o.value, "start": o.start, "end": o.end} for o in finding.constants
-        ]
-    if finding.detail:
-        doc["detail"] = finding.detail
-    return doc
+    return json.loads(_detail_json(report))
 
 
 def report_from_document(doc: dict) -> AnalysisReport:

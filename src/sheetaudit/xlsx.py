@@ -21,6 +21,10 @@ _NS = {
     "rel": "http://schemas.openxmlformats.org/package/2006/relationships",
 }
 
+# sheet size limits of the format (column XFD, row 1,048,576)
+_MAX_COLUMNS = 16_384
+_MAX_ROWS = 1_048_576
+
 _VISIBILITY = {
     None: SheetVisibility.VISIBLE,
     "visible": SheetVisibility.VISIBLE,
@@ -130,7 +134,8 @@ def _read_sheet(
     hidden_cols = set()
     for col in root.findall("main:cols/main:col", _NS):
         if col.get("hidden") in ("1", "true"):
-            first, last = _index_attr(col, "min", name), _index_attr(col, "max", name)
+            first = _index_attr(col, "min", name, _MAX_COLUMNS)
+            last = _index_attr(col, "max", name, _MAX_COLUMNS)
             hidden_cols.update(range(first, last + 1))
 
     # shared-formula masters, keyed by si attribute
@@ -140,7 +145,7 @@ def _read_sheet(
 
     for row in root.findall("main:sheetData/main:row", _NS):
         if row.get("hidden") in ("1", "true"):
-            hidden_rows.add(_index_attr(row, "r", name))
+            hidden_rows.add(_index_attr(row, "r", name, _MAX_ROWS))
         for c in row.findall("main:c", _NS):
             ref = c.get("r")
             if not ref:
@@ -220,16 +225,18 @@ def _read_cell_content(
     return formula, value
 
 
-def _index_attr(elem: ElementTree.Element, key: str, sheet_name: str) -> int:
-    """A 1-based row or column index attribute."""
+def _index_attr(elem: ElementTree.Element, key: str, sheet_name: str, limit: int) -> int:
+    """A 1-based row or column index attribute, at most ``limit``."""
     raw = elem.get(key)
     try:
         index = int(raw)
     except (TypeError, ValueError):
         index = 0
-    if index < 1:
+    if not 1 <= index <= limit:
         tag = elem.tag.rpartition("}")[2]
-        raise FormatError(f"sheet {sheet_name!r}: <{tag}> {key}={raw!r} is not an index >= 1")
+        raise FormatError(
+            f"sheet {sheet_name!r}: <{tag}> {key}={raw!r} is not an index from 1 to {limit}"
+        )
     return index
 
 

@@ -115,11 +115,13 @@ class TestExitCodes:
             {"data_regions": [{"sheet": 5}]},
             {"data_regions": [{"sheet": "Data", "range": 7}]},
             {"data_regions": 5},
+            # nested deeper than the JSON parser's recursion limit
+            pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
         ],
     )
     def test_mistyped_config_value_exits_two(self, tmp_path, capsys, document):
         config = tmp_path / "conf.json"
-        config.write_text(json.dumps(document))
+        config.write_text(document if isinstance(document, str) else json.dumps(document))
         write_clean(tmp_path / "ok.json")
         code = main(
             [str(tmp_path / "ok.json"), "--out", str(tmp_path / "out"), "--config", str(config)]
@@ -135,11 +137,14 @@ MALFORMED_SHEETS = {
     "col-no-bounds.xlsx": {"cols": '<cols><col hidden="1"/></cols>'},
     "col-negative.xlsx": {"cols": '<cols><col min="-1" max="2" hidden="1"/></cols>'},
     "row-r.xlsx": {"rows": '<row r="x" hidden="1"/>'},
+    "col-max.xlsx": {"cols": '<cols><col min="1" max="16385" hidden="1"/></cols>'},
+    "row-r-max.xlsx": {"rows": '<row r="1048577" hidden="1"/>'},
 }
 MALFORMED_JSON = {
     "merged-not-list.json": b'{"name": "m", "sheets": [{"name": "S", "merged": 5}]}',
     "merged-entry.json": b'{"name": "m", "sheets": [{"name": "S", "merged": [5]}]}',
     "not-utf8.json": b'{"name": "\xff"}',
+    "deep-nesting.json": b"[" * 100_000 + b"]" * 100_000,
 }
 
 

@@ -3,9 +3,21 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sheetaudit.detect import DataRegion, DetectionConfig, analyze_workbook, constant_histogram
-from sheetaudit.model import workbook_from_document
+from sheetaudit.addresses import A1, R1C1, CellAddress
+from sheetaudit.detect import (
+    AnalysisReport,
+    ConstantOccurrence,
+    DataRegion,
+    DetectionConfig,
+    Finding,
+    FindingKind,
+    analyze_workbook,
+    constant_histogram,
+)
+from sheetaudit.model import AuditWarning, WarningKind, workbook_from_document
 from sheetaudit.report import (
     BatchSummaryRow,
     EmptyBatch,
@@ -44,6 +56,58 @@ class TestFormatNumber:
         assert format_number(value) == expected
 
 
+# reports for the layout property: every kind, both address styles, any
+# text, and the scalars json spells differently from repr
+cached_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**40), 10**40),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text(),
+)
+addresses = st.builds(
+    CellAddress,
+    st.integers(1, 1_048_576),
+    st.integers(1, 16_384),
+    st.none() | st.text(),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([A1, R1C1]),
+)
+constants = st.builds(
+    ConstantOccurrence,
+    st.floats(min_value=0) | st.just(float("inf")),
+    st.integers(0, 10**4),
+    st.integers(0, 10**4),
+)
+findings = st.builds(
+    Finding,
+    st.sampled_from(list(FindingKind)),
+    st.text(),
+    addresses,
+    st.none() | st.text(),
+    cached_values,
+    st.lists(constants, max_size=3).map(tuple),
+    st.text(),
+)
+audit_warnings = st.builds(
+    AuditWarning,
+    st.sampled_from(list(WarningKind)),
+    st.text(),
+    st.integers(0, 10**6),
+    st.lists(st.text(), max_size=3).map(tuple),
+)
+reports = st.builds(
+    AnalysisReport,
+    st.text(),
+    st.text(),
+    *[st.integers(0, 10**6)] * 4,
+    st.lists(findings, max_size=4).map(tuple),
+    st.lists(audit_warnings, max_size=3).map(tuple),
+)
+
+
 class TestDetail:
     def test_text_header_and_row(self, report):
         body = render_detail(report, Format.TEXT).body.decode()
@@ -80,10 +144,17 @@ class TestDetail:
         assert widths == {7}
 
     def test_json_round_trip(self, report):
-        body = render_detail(report, Format.JSON).body
-        parsed = json.loads(body.decode())
-        assert parsed["schema_version"] == 1
-        assert report_from_document(parsed) == report
+        # an infinite constant and a boolean cached value, which json
+        # spells differently from repr and int formatting
+        cells = {"A1": {"f": "=A2*1e999", "v": True}}
+        inf_doc = {"name": "inf", "sheets": [{"name": "S", "cells": cells}]}
+        inf_report = analyze_workbook(workbook_from_document(inf_doc), DetectionConfig())
+        for source in (report, inf_report):
+            body = render_detail(source, Format.JSON).body
+            parsed = json.loads(body.decode())
+            assert parsed["schema_version"] == 1
+            assert report_from_document(parsed) == source
+            assert report_to_document(source) == parsed
 
     def test_header_counts_match_rendered_rows(self, report):
         parsed = json.loads(render_detail(report, Format.JSON).body.decode())
@@ -99,6 +170,18 @@ class TestDetail:
         )
         assert parsed["counts"]["hard_codings"] == hard
         assert parsed["counts"]["numeric_values"] == numeric
+
+    @settings(max_examples=300, deadline=None)
+    @given(reports)
+    def test_json_layout_is_the_stdlib_indent_layout(self, generated):
+        body = render_detail(generated, Format.JSON).body
+        parsed = json.loads(body)
+        assert body == (json.dumps(parsed, ensure_ascii=False, indent=1) + "\n").encode()
+        # valid JSON can still carry the wrong scalar: 1 for true, 0.0 for -0.0;
+        # their reprs tell them apart, and nan's repr equals itself
+        got = [(f.get("value"), [o["value"] for o in f.get("constants", [])]) for f in parsed["findings"]]
+        want = [(f.cached_value, [o.value for o in f.constants]) for f in generated.findings]
+        assert repr(got) == repr(want)
 
     def test_byte_identical_rendering(self, report):
         for fmt in Format:

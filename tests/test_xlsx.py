@@ -92,6 +92,12 @@ class TestLoadXlsx:
         anchor = sheet.cells[(2, 2)]
         assert anchor.is_merged_anchor
 
+    def test_hidden_columns_to_the_last_column(self, tmp_path):
+        # Excel hides every column right of C with max="16384" (column XFD)
+        cols = '<cols><col min="4" max="16384" hidden="1"/></cols>'
+        path = build_xlsx(tmp_path / "cols.xlsx", [{"name": "S", "cols": cols}])
+        assert load_xlsx(path).sheets[0].hidden_cols == frozenset(range(4, 16_385))
+
     def test_non_anchor_merged_content_dropped(self, tmp_path):
         rows = '<row r="2"><c r="B2"><v>1</v></c><c r="C2"><v>9</v></c></row>'
         path = build_xlsx(
