@@ -10,8 +10,10 @@ R1C1 = "R1C1"
 
 _A1_RE = re.compile(r"^(\$?)([A-Za-z]{1,3})(\$?)([0-9]+)$")
 _R1C1_RE = re.compile(r"^[Rr]([0-9]+)[Cc]([0-9]+)$")
-# sheet names that may appear unquoted before "!"
-_PLAIN_SHEET_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
+
+# sheet size limits of the format (column XFD, row 1,048,576)
+MAX_COLUMNS = 16_384
+MAX_ROWS = 1_048_576
 
 
 class AddressError(ValueError):
@@ -38,17 +40,10 @@ def letters_to_column(letters: str) -> int:
     return n
 
 
-def quote_sheet_name(name: str) -> str:
-    if _PLAIN_SHEET_RE.match(name):
-        return name
-    return "'" + name.replace("'", "''") + "'"
-
-
 @dataclass(frozen=True, order=True)
 class CellAddress:
     row: int
     column: int
-    sheet: str | None = None
     col_absolute: bool = False
     row_absolute: bool = False
     style: str = A1
@@ -63,17 +58,13 @@ class CellAddress:
 
     def render(self) -> str:
         if self.style == R1C1:
-            body = f"R{self.row}C{self.column}"
-        else:
-            body = "{}{}{}{}".format(
-                "$" if self.col_absolute else "",
-                column_to_letters(self.column),
-                "$" if self.row_absolute else "",
-                self.row,
-            )
-        if self.sheet is None:
-            return body
-        return f"{quote_sheet_name(self.sheet)}!{body}"
+            return f"R{self.row}C{self.column}"
+        return "{}{}{}{}".format(
+            "$" if self.col_absolute else "",
+            column_to_letters(self.column),
+            "$" if self.row_absolute else "",
+            self.row,
+        )
 
     def absolute(self) -> "CellAddress":
         if self.style == R1C1:
@@ -83,7 +74,6 @@ class CellAddress:
         return CellAddress(
             row=self.row,
             column=self.column,
-            sheet=self.sheet,
             col_absolute=True,
             row_absolute=True,
             style=self.style,
@@ -93,19 +83,16 @@ class CellAddress:
         return (self.row, self.column)
 
 
-def parse_address(text: str, sheet: str | None = None) -> CellAddress:
+def parse_address(text: str) -> CellAddress:
     """Parse a bare A1 or absolute R1C1 address (no sheet prefix)."""
     m = _R1C1_RE.match(text)
     if m:
-        return CellAddress(
-            row=int(m.group(1)), column=int(m.group(2)), sheet=sheet, style=R1C1
-        )
+        return CellAddress(row=int(m.group(1)), column=int(m.group(2)), style=R1C1)
     m = _A1_RE.match(text)
     if m:
         return CellAddress(
             row=int(m.group(4)),
             column=letters_to_column(m.group(2)),
-            sheet=sheet,
             col_absolute=m.group(1) == "$",
             row_absolute=m.group(3) == "$",
         )

@@ -12,20 +12,18 @@ import argparse
 import glob
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .addresses import A1, R1C1
 from .detect import (
     AnalysisReport,
-    DataRegion,
     DetectionConfig,
     DetectionMode,
     analyze_workbook,
     constant_histogram,
 )
-from .lexer import DEFAULT_OPERATOR_SET
-from .model import SchemaError, load_json, parse_range
+from .model import SchemaError, load_json
 from .report import (
     BatchSummaryRow,
     Format,
@@ -36,14 +34,6 @@ from .report import (
 from .xlsx import FormatError, load_xlsx
 
 _WORKBOOK_SUFFIXES = {".xlsx", ".xlsm", ".json"}
-
-_CONFIG_KEYS = {
-    "ignore_constants",
-    "data_regions",
-    "mode",
-    "heuristic_operators",
-    "max_constants_per_cell",
-}
 
 
 @dataclass
@@ -63,15 +53,10 @@ class OptionsError(ValueError):
     pass
 
 
-def _parse_data_region(text: str) -> DataRegion:
-    sheet, sep, rng = text.partition("!")
-    if not sheet:
-        raise OptionsError(f"empty sheet pattern in data region {text!r}")
-    try:
-        rect = parse_range(rng) if sep else None
-    except ValueError as exc:
-        raise OptionsError(str(exc)) from None
-    return DataRegion(sheet_pattern=sheet, rect=rect)
+def _region_document(text: str) -> dict:
+    """``SHEET[!RANGE]`` as a config ``data_regions`` entry; a range never holds ``!``."""
+    sheet, sep, rng = text.rpartition("!")
+    return {"sheet": sheet, "range": rng} if sep else {"sheet": text}
 
 
 def _load_config_document(path: Path) -> dict:
@@ -79,69 +64,42 @@ def _load_config_document(path: Path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise OptionsError(f"cannot read config {path}: {exc}") from None
+        raise OptionsError(f"config {path} cannot be read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise OptionsError(f"config {path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise OptionsError(f"config {path} is JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise OptionsError(f"config {path} must be a JSON object")
-    for key in doc:
-        if key not in _CONFIG_KEYS:
-            raise OptionsError(f"config {path}: unknown key {key!r}")
     return doc
 
 
 def build_config(options: RunOptions) -> DetectionConfig:
+    """The config document with the flags laid over it, key by key.
+
+    The keys are ``DetectionConfig``'s field names; each value, from the
+    file or a flag, goes through its field's reader.
+    """
     doc = _load_config_document(options.config_path) if options.config_path else {}
-
-    ignore = options.ignore_constants
-    if ignore is None:
-        ignore = doc.get("ignore_constants", [])
-        if not isinstance(ignore, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in ignore
-        ):
-            raise OptionsError("config ignore_constants must be a list of numbers")
-
+    if options.mode is not None:
+        doc["mode"] = options.mode.value
+    if options.ignore_constants is not None:
+        doc["ignore_constants"] = options.ignore_constants
     if options.data_regions is not None:
-        regions = [_parse_data_region(t) for t in options.data_regions]
-    else:
-        regions = []
-        raw_regions = doc.get("data_regions", [])
-        if not isinstance(raw_regions, list):
-            raise OptionsError("config data_regions must be a list")
-        for raw in raw_regions:
-            if not isinstance(raw, dict) or not isinstance(raw.get("sheet"), str):
-                raise OptionsError("config data_regions entries need a string 'sheet' key")
-            rng = raw.get("range")
-            if rng is not None and not isinstance(rng, str):
-                raise OptionsError("config data_regions 'range' must be a string")
-            text = f"{raw['sheet']}!{rng}" if rng else raw["sheet"]
-            regions.append(_parse_data_region(text))
-
-    mode = options.mode
-    if mode is None:
+        doc["data_regions"] = [_region_document(text) for text in options.data_regions]
+    readers = {f.name: f.metadata["read"] for f in fields(DetectionConfig)}
+    settings = {}
+    for key, value in doc.items():
+        if key not in readers:  # only the file can name one
+            raise OptionsError(f"config {options.config_path}: unknown key {key!r}")
         try:
-            mode = DetectionMode(doc.get("mode", "lexical"))
-        except ValueError:
-            raise OptionsError(f"unknown mode {doc.get('mode')!r}") from None
-
-    operators = doc.get("heuristic_operators", "")
-    if not isinstance(operators, str):
-        raise OptionsError("config heuristic_operators must be a string of operator characters")
-    cap = doc.get("max_constants_per_cell")
-    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
-        raise OptionsError("config max_constants_per_cell must be an integer")
+            settings[key] = readers[key](value)
+        except ValueError as exc:
+            raise OptionsError(f"config {key}: {exc}") from None
     try:
-        return DetectionConfig(
-            ignore_constants=frozenset(float(v) for v in ignore),
-            data_regions=tuple(regions),
-            mode=mode,
-            heuristic_operator_set=frozenset(operators) or DEFAULT_OPERATOR_SET,
-            max_reported_constants_per_cell=cap,
-        )
+        return DetectionConfig(**settings)
     except ValueError as exc:
-        raise OptionsError(str(exc)) from None
+        raise OptionsError(f"config {exc}") from None
 
 
 def _expand_inputs(patterns: list[str], err) -> list[Path]:

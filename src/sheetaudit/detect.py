@@ -12,7 +12,7 @@ manual review.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fnmatch import fnmatchcase
 
@@ -32,6 +32,7 @@ from .model import (
     Scalar,
     Workbook,
     audit_metadata,
+    parse_range,
 )
 
 
@@ -56,23 +57,72 @@ class DataRegion:
         return self.rect is None or self.rect.contains(row, column)
 
 
+# Readers of config document values, one per DetectionConfig field;
+# each raises ValueError for a value of the wrong type or shape.
+def _read_numbers(value: object) -> frozenset[float]:
+    if not isinstance(value, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise ValueError("must be a list of numbers")
+    try:
+        return frozenset(float(v) for v in value)
+    except OverflowError:
+        raise ValueError("holds a number too large for a float") from None
+
+
+def _read_regions(value: object) -> tuple[DataRegion, ...]:
+    if not isinstance(value, list):
+        raise ValueError("must be a list")
+    regions = []
+    for entry in value:
+        if not (isinstance(entry, dict) and isinstance(entry.get("sheet"), str) and entry["sheet"]):
+            raise ValueError("entries need a non-empty string 'sheet' key")
+        unknown = sorted(entry.keys() - {"sheet", "range"})
+        if unknown:
+            raise ValueError(f"unknown entry key {unknown[0]!r}")
+        rng = entry.get("range")
+        if rng is not None and not isinstance(rng, str):
+            raise ValueError("'range' must be a string")
+        regions.append(DataRegion(entry["sheet"], None if rng is None else parse_range(rng)))
+    return tuple(regions)
+
+
+def _read_operators(value: object) -> frozenset[str]:
+    if not isinstance(value, str) or not value:
+        raise ValueError("must be a non-empty string of operator characters")
+    return frozenset(value)
+
+
+def _read_count(value: object) -> int | None:
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError("must be an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class DetectionConfig:
-    ignore_constants: frozenset[float] = frozenset()
-    data_regions: tuple[DataRegion, ...] = ()
-    mode: DetectionMode = DetectionMode.LEXICAL
-    heuristic_operator_set: frozenset[str] = DEFAULT_OPERATOR_SET
-    max_reported_constants_per_cell: int | None = None
+    """Detection settings.
+
+    The field names are the config document's keys, and each field's
+    ``read`` metadata checks a document value and converts it.
+    """
+
+    ignore_constants: frozenset[float] = field(
+        default=frozenset(), metadata={"read": _read_numbers}
+    )
+    data_regions: tuple[DataRegion, ...] = field(default=(), metadata={"read": _read_regions})
+    mode: DetectionMode = field(default=DetectionMode.LEXICAL, metadata={"read": DetectionMode})
+    heuristic_operators: frozenset[str] = field(
+        default=DEFAULT_OPERATOR_SET, metadata={"read": _read_operators}
+    )
+    max_constants_per_cell: int | None = field(default=None, metadata={"read": _read_count})
 
     def __post_init__(self) -> None:
         for value in self.ignore_constants:
             if value != value or value in (float("inf"), float("-inf")):
                 raise ValueError("ignore_constants must contain finite numbers")
-        if (
-            self.max_reported_constants_per_cell is not None
-            and self.max_reported_constants_per_cell < 1
-        ):
-            raise ValueError("max_reported_constants_per_cell must be positive")
+        if self.max_constants_per_cell is not None and self.max_constants_per_cell < 1:
+            raise ValueError("max_constants_per_cell must be positive")
 
 
 class FindingKind(Enum):
@@ -178,13 +228,13 @@ def _classify_text(formula: str, config: DetectionConfig, ref_style: str) -> Cla
         )
     else:
         occurrences = []
-        for offset in heuristic_scan(formula, config.heuristic_operator_set):
+        for offset in heuristic_scan(formula, config.heuristic_operators):
             m = _HEURISTIC_NUMBER_RE.match(formula, offset)
             occurrences.append(ConstantOccurrence(float(m.group()), offset, m.end()))
         constant_only = bool(occurrences) and _BARE_NUMBER_RE.match(formula) is not None
 
     surviving = [o for o in occurrences if o.value not in config.ignore_constants]
-    cap = config.max_reported_constants_per_cell
+    cap = config.max_constants_per_cell
     if cap is not None:
         surviving = surviving[:cap]
     if not surviving:

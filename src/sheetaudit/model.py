@@ -8,7 +8,16 @@ from enum import Enum
 from pathlib import Path
 from typing import Union
 
-from .addresses import A1, R1C1, AddressError, CellAddress, column_to_letters, parse_address
+from .addresses import (
+    A1,
+    MAX_COLUMNS,
+    MAX_ROWS,
+    R1C1,
+    AddressError,
+    CellAddress,
+    column_to_letters,
+    parse_address,
+)
 
 Scalar = Union[int, float, str, bool]
 
@@ -241,8 +250,8 @@ def _sheet_from_document(raw: object, location: str) -> Sheet:
         except ValueError as exc:
             raise SchemaError(f"{location}/merged/{i}", str(exc)) from None
 
-    hidden_rows = _index_set(raw.get("hidden_rows", []), f"{location}/hidden_rows")
-    hidden_cols = _index_set(raw.get("hidden_cols", []), f"{location}/hidden_cols")
+    hidden_rows = _index_set(raw.get("hidden_rows", []), f"{location}/hidden_rows", MAX_ROWS)
+    hidden_cols = _index_set(raw.get("hidden_cols", []), f"{location}/hidden_cols", MAX_COLUMNS)
     return Sheet(
         name=name,
         visibility=visibility,
@@ -253,13 +262,13 @@ def _sheet_from_document(raw: object, location: str) -> Sheet:
     )
 
 
-def _index_set(raw: object, location: str) -> frozenset[int]:
+def _index_set(raw: object, location: str, limit: int) -> frozenset[int]:
     if not isinstance(raw, list):
         raise SchemaError(location, "must be an array of integers")
     out = set()
     for i, item in enumerate(raw):
-        if not isinstance(item, int) or isinstance(item, bool) or item < 1:
-            raise SchemaError(f"{location}/{i}", "indices must be integers >= 1")
+        if not isinstance(item, int) or isinstance(item, bool) or not 1 <= item <= limit:
+            raise SchemaError(f"{location}/{i}", f"indices must be integers from 1 to {limit}")
         out.add(item)
     return frozenset(out)
 

@@ -12,7 +12,7 @@ import zipfile
 from pathlib import Path
 from xml.etree import ElementTree
 
-from .addresses import A1, R1C1, AddressError, parse_address
+from .addresses import A1, MAX_COLUMNS, MAX_ROWS, R1C1, AddressError, parse_address
 from .model import Cell, Rectangle, Scalar, Sheet, SheetVisibility, Workbook, parse_range
 
 _NS = {
@@ -20,10 +20,6 @@ _NS = {
     "r": "http://schemas.openxmlformats.org/officeDocument/2006/relationships",
     "rel": "http://schemas.openxmlformats.org/package/2006/relationships",
 }
-
-# sheet size limits of the format (column XFD, row 1,048,576)
-_MAX_COLUMNS = 16_384
-_MAX_ROWS = 1_048_576
 
 _VISIBILITY = {
     None: SheetVisibility.VISIBLE,
@@ -134,8 +130,8 @@ def _read_sheet(
     hidden_cols = set()
     for col in root.findall("main:cols/main:col", _NS):
         if col.get("hidden") in ("1", "true"):
-            first = _index_attr(col, "min", name, _MAX_COLUMNS)
-            last = _index_attr(col, "max", name, _MAX_COLUMNS)
+            first = _index_attr(col, "min", name, MAX_COLUMNS)
+            last = _index_attr(col, "max", name, MAX_COLUMNS)
             hidden_cols.update(range(first, last + 1))
 
     # shared-formula masters, keyed by si attribute
@@ -145,7 +141,7 @@ def _read_sheet(
 
     for row in root.findall("main:sheetData/main:row", _NS):
         if row.get("hidden") in ("1", "true"):
-            hidden_rows.add(_index_attr(row, "r", name, _MAX_ROWS))
+            hidden_rows.add(_index_attr(row, "r", name, MAX_ROWS))
         for c in row.findall("main:c", _NS):
             ref = c.get("r")
             if not ref:

@@ -1,9 +1,12 @@
 import json
 import zipfile
+from dataclasses import fields
 
 import pytest
 
-from sheetaudit.cli import main
+from sheetaudit.cli import RunOptions, build_config, main
+from sheetaudit.detect import DataRegion, DetectionConfig, DetectionMode
+from sheetaudit.model import parse_range
 from table3 import workbook_document
 from xlsx_builder import build_xlsx
 
@@ -117,6 +120,12 @@ class TestExitCodes:
             {"data_regions": 5},
             # nested deeper than the JSON parser's recursion limit
             pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+            pytest.param({"ignore_constants": [10**400]}, id="ignore-too-large"),
+            # a misspelt "range" must not widen the region to the whole sheet
+            pytest.param({"data_regions": [{"sheet": "S", "rang": "A1:B2"}]}, id="region-typo"),
+            pytest.param({"data_regions": [{"sheet": "S", "range": "garbage"}]}, id="bad-range"),
+            pytest.param({"mode": 5}, id="mode-number"),
+            pytest.param({"heuristic_operators": ""}, id="no-operators"),
         ],
     )
     def test_mistyped_config_value_exits_two(self, tmp_path, capsys, document):
@@ -145,6 +154,8 @@ MALFORMED_JSON = {
     "merged-entry.json": b'{"name": "m", "sheets": [{"name": "S", "merged": [5]}]}',
     "not-utf8.json": b'{"name": "\xff"}',
     "deep-nesting.json": b"[" * 100_000 + b"]" * 100_000,
+    "hidden-cols-max.json": b'{"name": "m", "sheets": [{"name": "S", "hidden_cols": [20000]}]}',
+    "hidden-rows-max.json": b'{"name": "m", "sheets": [{"name": "S", "hidden_rows": [2000000]}]}',
 }
 
 
@@ -255,6 +266,22 @@ class TestOutputs:
         assert "=B1/12" in body
 
 
+# names every DetectionConfig field, each set away from its default
+FULL_CONFIG = {
+    "ignore_constants": [12],
+    "data_regions": [{"sheet": "Data", "range": "A1:A2"}],
+    "mode": "heuristic",
+    "heuristic_operators": "*/",
+    "max_constants_per_cell": 1,
+}
+
+
+def options_with_config(tmp_path, document):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(document))
+    return RunOptions(inputs=[], output_dir=tmp_path / "out", config_path=path)
+
+
 class TestConfig:
     def test_config_document_and_flag_override(self, tmp_path):
         config = tmp_path / "conf.json"
@@ -296,3 +323,53 @@ class TestConfig:
             [str(tmp_path / "h.json"), "--out", str(tmp_path / "out"), "--mode", "heuristic"]
         )
         assert code == 0
+
+    def test_sheet_name_with_bang_as_data_region(self, tmp_path):
+        doc = {"name": "q", "sheets": [{"name": "Q1!Data", "cells": {"B2": {"v": 5}}}]}
+        (tmp_path / "q.json").write_text(json.dumps(doc))
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"data_regions": [{"sheet": "Q1!Data"}]}))
+        for i, region in enumerate([["--config", str(config)], ["--data-region", "Q1!Data!B2"]]):
+            out = tmp_path / f"out{i}"
+            code = main([str(tmp_path / "q.json"), "--out", str(out), "--format", "json", *region])
+            assert code == 0
+            [finding] = json.loads((out / "q.findings.json").read_text())["findings"]
+            assert finding["kind"] == "expected_input_value"
+
+    def test_config_keys_are_the_detection_config_fields(self, tmp_path):
+        assert set(FULL_CONFIG) == {f.name for f in fields(DetectionConfig)}
+        for key, value in FULL_CONFIG.items():
+            config = build_config(options_with_config(tmp_path, {key: value}))
+            assert getattr(config, key) != getattr(DetectionConfig(), key)
+
+    def test_config_naming_every_key(self, tmp_path):
+        options = options_with_config(tmp_path, FULL_CONFIG)
+        assert build_config(options) == DetectionConfig(
+            ignore_constants=frozenset({12.0}),
+            data_regions=(DataRegion("Data", parse_range("A1:A2")),),
+            mode=DetectionMode.HEURISTIC,
+            heuristic_operators=frozenset("*/"),
+            max_constants_per_cell=1,
+        )
+        doc = {
+            "name": "full",
+            "sheets": [
+                {"name": "Data", "cells": {"A1": {"v": 10}, "A3": {"v": 30}}},
+                # lexical mode or "+" as an operator report 7, no ignore list 12, no cap 100 and 5
+                {"name": "Calc", "cells": {"B1": {"f": "=Data!A1+7*12/100*5"}}},
+            ],
+        }
+        (tmp_path / "full.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main(
+            [str(tmp_path / "full.json"), "--out", str(out), "--format", "json",
+             "--config", str(options.config_path)]
+        )
+        assert code == 1
+        findings = json.loads((out / "full.findings.json").read_text())["findings"]
+        assert [(f["sheet"], f["cell"], f["kind"]) for f in findings] == [
+            ("Data", "$A$1", "expected_input_value"),
+            ("Data", "$A$3", "direct_numeric_entry"),
+            ("Calc", "$B$1", "hard_coded_constant"),
+        ]
+        assert [c["value"] for c in findings[2]["constants"]] == [100]

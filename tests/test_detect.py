@@ -85,7 +85,7 @@ class TestAnalyzeCell:
 
     def test_max_reported_constants_cap(self):
         cell = make_cell(1, 1, formula="=1+2+3+4+5")
-        config = DetectionConfig(max_reported_constants_per_cell=2)
+        config = DetectionConfig(max_constants_per_cell=2)
         [finding] = analyze_cell(cell, "S", config)
         assert constant_values(finding) == [1, 2]
 
@@ -345,7 +345,7 @@ def repeated_text_workbooks(draw):
         mode=draw(st.sampled_from(list(DetectionMode))),
         ignore_constants=frozenset(draw(st.lists(st.sampled_from([0, 1, 2, 12, 200])))),
         data_regions=draw(st.sampled_from([(), (DataRegion("S0"),)])),
-        max_reported_constants_per_cell=draw(st.none() | st.integers(1, 3)),
+        max_constants_per_cell=draw(st.none() | st.integers(1, 3)),
     )
     return workbook, config
 

@@ -153,6 +153,14 @@ class TestJsonInterchange:
             workbook_from_document(doc)
         assert "/sheets/0/cells/ZZZZ0" in str(exc_info.value)
 
+    def test_hidden_indices_stop_at_the_sheet_limits(self):
+        last = {"name": "s", "hidden_cols": [16_384], "hidden_rows": [1_048_576]}
+        sheet = workbook_from_document({"name": "x", "sheets": [last]}).sheets[0]
+        assert (sheet.hidden_cols, sheet.hidden_rows) == ({16_384}, {1_048_576})
+        for key, index in (("hidden_cols", 16_385), ("hidden_rows", 1_048_577)):
+            with pytest.raises(SchemaError, match=f"/{key}/0"):
+                workbook_from_document({"name": "x", "sheets": [{"name": "s", key: [index]}]})
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(SchemaError):
             workbook_from_document({"name": "x", "sheets": [], "extra": 1})

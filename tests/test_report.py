@@ -70,7 +70,6 @@ addresses = st.builds(
     CellAddress,
     st.integers(1, 1_048_576),
     st.integers(1, 16_384),
-    st.none() | st.text(),
     st.booleans(),
     st.booleans(),
     st.sampled_from([A1, R1C1]),
