@@ -35,10 +35,7 @@ from .model import (
     audit_metadata,
     load_json,
     parse_range,
-    save_json,
-    used_range,
     workbook_from_document,
-    workbook_to_document,
 )
 from .report import (
     BatchSummaryRow,
@@ -48,7 +45,6 @@ from .report import (
     render_batch_summary,
     render_detail,
     render_histogram,
-    report_from_document,
     report_to_document,
 )
 from .xlsx import FormatError, load_xlsx

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 A1 = "A1"
 R1C1 = "R1C1"
 
-_A1_RE = re.compile(r"^(\$?)([A-Za-z]{1,3})(\$?)([0-9]+)$")
-_R1C1_RE = re.compile(r"^[Rr]([0-9]+)[Cc]([0-9]+)$")
+# a row or column index has at most 7 digits (1,048,576); a longer run never reaches int()
+_A1_RE = re.compile(r"^(\$?)([A-Za-z]{1,3})(\$?)([0-9]{1,7})$")
+_R1C1_RE = re.compile(r"^[Rr]([0-9]{1,7})[Cc]([0-9]{1,7})$")
 
 # sheet size limits of the format (column XFD, row 1,048,576)
 MAX_COLUMNS = 16_384
@@ -49,9 +50,10 @@ class CellAddress:
     style: str = A1
 
     def __post_init__(self) -> None:
-        if self.column < 1 or self.row < 1:
+        if not (1 <= self.row <= MAX_ROWS and 1 <= self.column <= MAX_COLUMNS):
             raise AddressError(
-                f"row and column must be >= 1, got row={self.row} column={self.column}"
+                f"row must be from 1 to {MAX_ROWS} and column from 1 to {MAX_COLUMNS},"
+                f" got row={self.row} column={self.column}"
             )
         if self.style not in (A1, R1C1):
             raise AddressError(f"unknown reference style {self.style!r}")

@@ -74,7 +74,6 @@ class Cell:
     address: CellAddress
     formula_text: str | None = None
     cached_value: Scalar | None = None
-    is_merged_anchor: bool = False
 
     def __post_init__(self) -> None:
         if self.formula_text is None and self.cached_value is None:
@@ -104,18 +103,6 @@ class Workbook:
         names = [s.name for s in self.sheets]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate sheet names in workbook {self.name!r}")
-
-
-def used_range(sheet: Sheet) -> Rectangle | None:
-    """Minimal rectangle covering every populated cell, or None."""
-    if not sheet.cells:
-        return None
-    rows = [r for r, _ in sheet.cells]
-    cols = [c for _, c in sheet.cells]
-    return Rectangle(
-        CellAddress(row=min(rows), column=min(cols)),
-        CellAddress(row=max(rows), column=max(cols)),
-    )
 
 
 class WarningKind(Enum):
@@ -273,31 +260,6 @@ def _index_set(raw: object, location: str, limit: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def workbook_to_document(workbook: Workbook) -> dict:
-    sheets = []
-    for sheet in workbook.sheets:
-        cells = {}
-        for coords in sorted(sheet.cells):
-            cell = sheet.cells[coords]
-            entry: dict[str, object] = {}
-            if cell.formula_text is not None:
-                entry["f"] = cell.formula_text
-            if cell.cached_value is not None:
-                entry["v"] = cell.cached_value
-            cells[cell.address.render()] = entry
-        sheets.append(
-            {
-                "name": sheet.name,
-                "visibility": sheet.visibility.value,
-                "cells": cells,
-                "merged": [r.render() for r in sheet.merged_regions],
-                "hidden_rows": sorted(sheet.hidden_rows),
-                "hidden_cols": sorted(sheet.hidden_cols),
-            }
-        )
-    return {"name": workbook.name, "ref_style": workbook.ref_style, "sheets": sheets}
-
-
 def load_json(path: str | Path) -> Workbook:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -311,9 +273,3 @@ def load_json(path: str | Path) -> Workbook:
             raise SchemaError("", f"not UTF-8 text: {exc}") from None
     return workbook_from_document(doc, source_path=str(path))
 
-
-def save_json(workbook: Workbook, path: str | Path) -> None:
-    doc = workbook_to_document(workbook)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False, indent=1)
-        fh.write("\n")

@@ -16,14 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
 
-from .addresses import parse_address
-from .detect import (
-    AnalysisReport,
-    ConstantOccurrence,
-    Finding,
-    FindingKind,
-)
-from .model import AuditWarning, Scalar, WarningKind
+from .detect import AnalysisReport
+from .model import Scalar
 
 SCHEMA_VERSION = 1
 
@@ -99,10 +93,6 @@ def _finish(fmt: Format, body: str, stem: str) -> RenderedDocument:
         body=body.encode("utf-8"),
         suggested_filename=f"{stem}.{_EXTENSIONS[fmt]}",
     )
-
-
-def _json_body(payload: dict) -> str:
-    return json.dumps(payload, ensure_ascii=False, indent=1) + "\n"
 
 
 def _text_table(rows: list[list[str]]) -> str:
@@ -182,14 +172,17 @@ def render_detail(
     return _finish(format, "".join(parts), stem)
 
 
-def _detail_json(report: AnalysisReport) -> str:
-    """The detail document, in the bytes of ``json.dumps(doc, ensure_ascii=False, indent=1)``.
+# --- JSON -------------------------------------------------------------
+#
+# All three JSON documents are written straight from the results, in the
+# bytes the standard library's encoder gives with ``ensure_ascii=False,
+# indent=1``: with any indent it leaves its C encoder for a generator per
+# container, which on a desk-scale workbook cost more than loading and
+# analysing it.  Strings go through the C escaper that encoder uses, and
+# each object is a ``%`` template with its keys in document order.
 
-    Written straight from the report: with any ``indent`` the standard
-    library leaves its C encoder for a generator per container, which on
-    a desk-scale workbook cost more than loading and analysing it.
-    Strings go through the same C escaper that encoder uses.
-    """
+
+def _detail_json(report: AnalysisReport) -> str:
     q = encode_basestring
     findings = []
     for f in report.findings:
@@ -264,48 +257,17 @@ def _json_array(items: list[str], closing_indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + closing_indent + "]"
 
 
+def _rows_json(kind: str, items: list[str]) -> str:
+    """A summary or histogram document around its rows, already written out."""
+    return '{\n "schema_version": %d,\n "kind": "%s",\n "rows": %s\n}\n' % (
+        SCHEMA_VERSION,
+        kind,
+        _json_array(items, " "),
+    )
+
+
 def report_to_document(report: AnalysisReport) -> dict:
     return json.loads(_detail_json(report))
-
-
-def report_from_document(doc: dict) -> AnalysisReport:
-    """Inverse of report_to_document, for lossless round-trip checks."""
-    findings = []
-    for raw in doc["findings"]:
-        findings.append(
-            Finding(
-                kind=FindingKind(raw["kind"]),
-                sheet=raw["sheet"],
-                address=parse_address(raw["cell"]),
-                formula_text=raw.get("formula"),
-                cached_value=raw.get("value"),
-                constants=tuple(
-                    ConstantOccurrence(o["value"], o["start"], o["end"])
-                    for o in raw.get("constants", [])
-                ),
-                detail=raw.get("detail", ""),
-            )
-        )
-    warnings = tuple(
-        AuditWarning(
-            kind=WarningKind(raw["kind"]),
-            sheet=raw["sheet"],
-            count=raw["count"],
-            locations=tuple(raw["locations"]),
-        )
-        for raw in doc["warnings"]
-    )
-    counts = doc["counts"]
-    return AnalysisReport(
-        workbook_name=doc["workbook"]["name"],
-        workbook_location=doc["workbook"]["location"],
-        worksheet_count=counts["worksheets"],
-        formula_count=counts["formulas"],
-        hard_coding_count=counts["hard_codings"],
-        numeric_value_count=counts["numeric_values"],
-        findings=tuple(findings),
-        warnings=warnings,
-    )
 
 
 # --- batch summary ----------------------------------------------------
@@ -319,6 +281,11 @@ _SUMMARY_HEADER = [
     "# hard codings",
     "# numeric values",
 ]
+_SUMMARY_JSON_ROW = (
+    '  {\n   "index": %d,\n   "workbook_name": %s,\n   "workbook_location": %s,\n'
+    '   "worksheet_count": %d,\n   "formula_count": %d,\n   "hard_coding_count": %d,\n'
+    '   "numeric_value_count": %d,\n   "error": %s\n  }'
+)
 
 
 def render_batch_summary(rows: list[BatchSummaryRow], format: Format) -> RenderedDocument:
@@ -326,24 +293,22 @@ def render_batch_summary(rows: list[BatchSummaryRow], format: Format) -> Rendere
         raise EmptyBatch("batch summary requires at least one row")
     stem = "summary"
     if format is Format.JSON:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "summary",
-            "rows": [
-                {
-                    "index": r.index,
-                    "workbook_name": r.workbook_name,
-                    "workbook_location": r.workbook_location,
-                    "worksheet_count": r.worksheet_count,
-                    "formula_count": r.formula_count,
-                    "hard_coding_count": r.hard_coding_count,
-                    "numeric_value_count": r.numeric_value_count,
-                    "error": r.error,
-                }
-                for r in rows
-            ],
-        }
-        return _finish(format, _json_body(payload), stem)
+        q = encode_basestring
+        items = [
+            _SUMMARY_JSON_ROW
+            % (
+                r.index,
+                q(r.workbook_name),
+                q(r.workbook_location),
+                r.worksheet_count,
+                r.formula_count,
+                r.hard_coding_count,
+                r.numeric_value_count,
+                "null" if r.error is None else q(r.error),
+            )
+            for r in rows
+        ]
+        return _finish(format, _rows_json("summary", items), stem)
 
     table = [list(_SUMMARY_HEADER)]
     for r in rows:
@@ -371,17 +336,14 @@ def render_batch_summary(rows: list[BatchSummaryRow], format: Format) -> Rendere
 # --- constant histogram -----------------------------------------------
 
 _HISTOGRAM_HEADER = ["Constant Value", "Number of Occurrences"]
+_HISTOGRAM_JSON_ROW = '  {\n   "value": %s,\n   "count": %d\n  }'
 
 
 def render_histogram(histogram: list[tuple[float, int]], format: Format) -> RenderedDocument:
     stem = "constants"
     if format is Format.JSON:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "histogram",
-            "rows": [{"value": value, "count": count} for value, count in histogram],
-        }
-        return _finish(format, _json_body(payload), stem)
+        items = [_HISTOGRAM_JSON_ROW % (_json_number(v), count) for v, count in histogram]
+        return _finish(format, _rows_json("histogram", items), stem)
     table = [list(_HISTOGRAM_HEADER)]
     for value, count in histogram:
         table.append([format_number(value), str(count)])

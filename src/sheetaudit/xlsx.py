@@ -71,9 +71,12 @@ def load_xlsx(path: str | Path) -> Workbook:
                 raise FormatError(f"{path}: sheet {name!r}: missing part {target}") from None
             sheets.append(_read_sheet(sheet_xml, name, visibility, shared))
 
-    return Workbook(
-        name=path.name, source_path=str(path), sheets=tuple(sheets), ref_style=ref_style
-    )
+    try:
+        return Workbook(
+            name=path.name, source_path=str(path), sheets=tuple(sheets), ref_style=ref_style
+        )
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _read_xml(archive: zipfile.ZipFile, member: str) -> ElementTree.Element:
@@ -157,12 +160,7 @@ def _read_sheet(
             if _inside_merge(coords, merged) and coords not in anchors:
                 # only the merge anchor may carry content
                 continue
-            cells[coords] = Cell(
-                address=address,
-                formula_text=formula,
-                cached_value=value,
-                is_merged_anchor=coords in anchors,
-            )
+            cells[coords] = Cell(address=address, formula_text=formula, cached_value=value)
 
     return Sheet(
         name=name,
@@ -217,7 +215,7 @@ def _read_cell_content(
         elif cell_type in ("str", "e"):
             value = raw
         else:
-            value = _parse_number(raw)
+            value = _parse_number(raw, sheet_name, c.get("r"))
     return formula, value
 
 
@@ -236,12 +234,15 @@ def _index_attr(elem: ElementTree.Element, key: str, sheet_name: str, limit: int
     return index
 
 
-def _parse_number(raw: str) -> Scalar:
+def _parse_number(raw: str, sheet_name: str, ref: str) -> Scalar:
     try:
-        as_int = int(raw)
+        return int(raw)
     except ValueError:
+        pass
+    try:
         return float(raw)
-    return as_int
+    except ValueError:
+        raise FormatError(f"sheet {sheet_name!r}: cell {ref}: bad number {raw!r}") from None
 
 
 def _inside_merge(coords: tuple[int, int], merged: list[Rectangle]) -> bool:

@@ -126,6 +126,7 @@ class TestExitCodes:
             pytest.param({"data_regions": [{"sheet": "S", "range": "garbage"}]}, id="bad-range"),
             pytest.param({"mode": 5}, id="mode-number"),
             pytest.param({"heuristic_operators": ""}, id="no-operators"),
+            pytest.param({"data_regions": [{"sheet": "S", "range": "A1:XFE1"}]}, id="range-past-sheet"),
         ],
     )
     def test_mistyped_config_value_exits_two(self, tmp_path, capsys, document):
@@ -139,15 +140,25 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: config ")
 
 
-# one bad attribute or value each; every case must become an error row
+def cell_row(ref, content="<v>1</v>"):
+    return {"rows": f'<row r="1"><c r="{ref}">{content}</c></row>'}
+
+
+# one bad attribute or value each; every case must become an error row.
+# An XLSX entry lists its sheets, each named "S" unless it says otherwise.
 MALFORMED_SHEETS = {
-    "merge-ref.xlsx": {"merged": ["A1:ZZ"]},
-    "col-min.xlsx": {"cols": '<cols><col min="x" max="2" hidden="1"/></cols>'},
-    "col-no-bounds.xlsx": {"cols": '<cols><col hidden="1"/></cols>'},
-    "col-negative.xlsx": {"cols": '<cols><col min="-1" max="2" hidden="1"/></cols>'},
-    "row-r.xlsx": {"rows": '<row r="x" hidden="1"/>'},
-    "col-max.xlsx": {"cols": '<cols><col min="1" max="16385" hidden="1"/></cols>'},
-    "row-r-max.xlsx": {"rows": '<row r="1048577" hidden="1"/>'},
+    "merge-ref.xlsx": [{"merged": ["A1:ZZ"]}],
+    "col-min.xlsx": [{"cols": '<cols><col min="x" max="2" hidden="1"/></cols>'}],
+    "col-no-bounds.xlsx": [{"cols": '<cols><col hidden="1"/></cols>'}],
+    "col-negative.xlsx": [{"cols": '<cols><col min="-1" max="2" hidden="1"/></cols>'}],
+    "row-r.xlsx": [{"rows": '<row r="x" hidden="1"/>'}],
+    "col-max.xlsx": [{"cols": '<cols><col min="1" max="16385" hidden="1"/></cols>'}],
+    "row-r-max.xlsx": [{"rows": '<row r="1048577" hidden="1"/>'}],
+    "cell-col-max.xlsx": [cell_row("XFE1")],
+    "cell-row-max.xlsx": [cell_row("A1048577")],
+    "merge-max.xlsx": [{"merged": ["A1:XFE1"]}],
+    "bad-number.xlsx": [cell_row("A1", "<v>abc</v>")],
+    "duplicate-sheets.xlsx": [{}, {}],
 }
 MALFORMED_JSON = {
     "merged-not-list.json": b'{"name": "m", "sheets": [{"name": "S", "merged": 5}]}',
@@ -156,6 +167,11 @@ MALFORMED_JSON = {
     "deep-nesting.json": b"[" * 100_000 + b"]" * 100_000,
     "hidden-cols-max.json": b'{"name": "m", "sheets": [{"name": "S", "hidden_cols": [20000]}]}',
     "hidden-rows-max.json": b'{"name": "m", "sheets": [{"name": "S", "hidden_rows": [2000000]}]}',
+    "cell-col-max.json": b'{"name": "m", "sheets": [{"name": "S", "cells": {"XFE1": {"v": 1}}}]}',
+    "cell-row-max.json": b'{"name": "m", "sheets": [{"name": "S", "cells": {"A2000000": {"v": 1}}}]}',
+    "cell-row-digits.json": b'{"name": "m", "sheets": [{"name": "S", "cells": {"A%s": {"v": 1}}}]}'
+    % (b"9" * 5000,),
+    "merged-max.json": b'{"name": "m", "sheets": [{"name": "S", "merged": ["A1:XFE1"]}]}',
 }
 
 
@@ -164,7 +180,7 @@ def test_malformed_workbook_is_an_error_row(tmp_path, capsys, broken_name):
     write_fixture(tmp_path / "good.json")
     broken = tmp_path / broken_name
     if broken_name in MALFORMED_SHEETS:
-        build_xlsx(broken, [{"name": "S", **MALFORMED_SHEETS[broken_name]}])
+        build_xlsx(broken, [{"name": "S", **sheet} for sheet in MALFORMED_SHEETS[broken_name]])
     else:
         broken.write_bytes(MALFORMED_JSON[broken_name])
     code = main([str(tmp_path / "*"), "--out", str(tmp_path / "out"), "--format", "json"])

@@ -1,4 +1,4 @@
-import random
+import json
 
 import pytest
 
@@ -16,10 +16,7 @@ from sheetaudit.model import (
     audit_metadata,
     load_json,
     parse_range,
-    save_json,
-    used_range,
     workbook_from_document,
-    workbook_to_document,
 )
 from table3 import workbook_document
 
@@ -34,31 +31,35 @@ def make_sheet(name="S", cells=(), **kwargs):
     return Sheet(name=name, cells={c.address.coords(): c for c in cells}, **kwargs)
 
 
-class TestUsedRange:
-    def test_bounding_box(self):
-        sheet = make_sheet(cells=[make_cell(2, 2, value=1), make_cell(7, 4, value=2)])
-        assert used_range(sheet) == parse_range("B2:D7")
+def workbook_to_document(workbook):
+    """The JSON interchange document of a workbook; ``load_json`` reads it back."""
+    sheets = []
+    for sheet in workbook.sheets:
+        cells = {}
+        for coords in sorted(sheet.cells):
+            cell = sheet.cells[coords]
+            entry = {}
+            if cell.formula_text is not None:
+                entry["f"] = cell.formula_text
+            if cell.cached_value is not None:
+                entry["v"] = cell.cached_value
+            cells[cell.address.render()] = entry
+        sheets.append(
+            {
+                "name": sheet.name,
+                "visibility": sheet.visibility.value,
+                "cells": cells,
+                "merged": [r.render() for r in sheet.merged_regions],
+                "hidden_rows": sorted(sheet.hidden_rows),
+                "hidden_cols": sorted(sheet.hidden_cols),
+            }
+        )
+    return {"name": workbook.name, "ref_style": workbook.ref_style, "sheets": sheets}
 
-    def test_single_cell(self):
-        sheet = make_sheet(cells=[make_cell(1, 1, value=5)])
-        assert used_range(sheet) == parse_range("A1:A1")
 
-    def test_empty_sheet(self):
-        assert used_range(make_sheet()) is None
-
-    def test_monotone_under_cell_addition(self):
-        rng = random.Random(3)
-        cells = []
-        prev = None
-        for _ in range(30):
-            cells.append(make_cell(rng.randint(1, 50), rng.randint(1, 20), value=1))
-            rect = used_range(make_sheet(cells=cells))
-            if prev is not None:
-                assert rect.top_left.row <= prev.top_left.row
-                assert rect.top_left.column <= prev.top_left.column
-                assert rect.bottom_right.row >= prev.bottom_right.row
-                assert rect.bottom_right.column >= prev.bottom_right.column
-            prev = rect
+def save_json(workbook, path):
+    doc = workbook_to_document(workbook)
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
 
 
 class TestAuditMetadata:
@@ -153,6 +154,20 @@ class TestJsonInterchange:
             workbook_from_document(doc)
         assert "/sheets/0/cells/ZZZZ0" in str(exc_info.value)
 
+    def test_cell_addresses_stop_at_the_sheet_limits(self):
+        def sheet_doc(**sheet):
+            return {"name": "x", "sheets": [{"name": "s", **sheet}]}
+
+        last = sheet_doc(cells={"XFD1048576": {"v": 1}}, merged=["XFC1048575:XFD1048576"])
+        sheet = workbook_from_document(last).sheets[0]
+        assert list(sheet.cells) == [(1_048_576, 16_384)]
+        assert sheet.merged_regions == (parse_range("XFC1048575:XFD1048576"),)
+        for address in ("XFE1", "A1048577", "R1048577C1", "R1C16385", "A" + "9" * 5000):
+            with pytest.raises(SchemaError, match="/cells/"):
+                workbook_from_document(sheet_doc(cells={address: {"v": 1}}))
+            with pytest.raises(SchemaError, match="/merged/0"):
+                workbook_from_document(sheet_doc(merged=[f"A1:{address}"]))
+
     def test_hidden_indices_stop_at_the_sheet_limits(self):
         last = {"name": "s", "hidden_cols": [16_384], "hidden_rows": [1_048_576]}
         sheet = workbook_from_document({"name": "x", "sheets": [last]}).sheets[0]
@@ -182,11 +197,6 @@ class TestJsonInterchange:
         doc = {"name": "x", "sheets": [{"name": "s", "cells": {"A1": {}}}]}
         with pytest.raises(SchemaError):
             workbook_from_document(doc)
-
-    def test_document_shape(self):
-        workbook = workbook_from_document(workbook_document())
-        doc = workbook_to_document(workbook)
-        assert doc["sheets"][1]["cells"]["D16"]["v"] == 382
 
 
 class TestModelInvariants:

@@ -3,10 +3,10 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sheetaudit.addresses import A1, R1C1, CellAddress
+from sheetaudit.addresses import A1, R1C1, CellAddress, parse_address
 from sheetaudit.detect import (
     AnalysisReport,
     ConstantOccurrence,
@@ -26,12 +26,45 @@ from sheetaudit.report import (
     render_batch_summary,
     render_detail,
     render_histogram,
-    report_from_document,
     report_to_document,
 )
 from table3 import workbook_document
 
 DATA_CONFIG = DetectionConfig(data_regions=(DataRegion("Data"),))
+
+
+def report_from_document(doc):
+    """Inverse of report_to_document, for lossless round-trip checks."""
+    findings = tuple(
+        Finding(
+            kind=FindingKind(raw["kind"]),
+            sheet=raw["sheet"],
+            address=parse_address(raw["cell"]),
+            formula_text=raw.get("formula"),
+            cached_value=raw.get("value"),
+            constants=tuple(
+                ConstantOccurrence(o["value"], o["start"], o["end"])
+                for o in raw.get("constants", [])
+            ),
+            detail=raw.get("detail", ""),
+        )
+        for raw in doc["findings"]
+    )
+    warnings = tuple(
+        AuditWarning(WarningKind(raw["kind"]), raw["sheet"], raw["count"], tuple(raw["locations"]))
+        for raw in doc["warnings"]
+    )
+    counts = doc["counts"]
+    return AnalysisReport(
+        workbook_name=doc["workbook"]["name"],
+        workbook_location=doc["workbook"]["location"],
+        worksheet_count=counts["worksheets"],
+        formula_count=counts["formulas"],
+        hard_coding_count=counts["hard_codings"],
+        numeric_value_count=counts["numeric_values"],
+        findings=findings,
+        warnings=warnings,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +138,21 @@ reports = st.builds(
     st.lists(findings, max_size=4).map(tuple),
     st.lists(audit_warnings, max_size=3).map(tuple),
 )
+big_ints = st.integers(-(10**40), 10**40)
+batch_rows = st.builds(
+    BatchSummaryRow, big_ints, st.text(), st.text(), *[big_ints] * 4, st.none() | st.text()
+)
+histograms = st.lists(
+    st.tuples(
+        big_ints | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+        big_ints,
+    ),
+    max_size=5,
+)
+
+
+def stdlib_json(payload):
+    return (json.dumps(payload, ensure_ascii=False, indent=1) + "\n").encode()
 
 
 class TestDetail:
@@ -215,6 +263,28 @@ class TestBatchSummary:
         body = render_batch_summary(rows, Format.TEXT).body.decode()
         assert "ERROR: not a ZIP package" in body
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(batch_rows, min_size=1, max_size=4))
+    def test_json_layout_is_the_stdlib_indent_layout(self, rows):
+        payload = {
+            "schema_version": 1,
+            "kind": "summary",
+            "rows": [
+                {
+                    "index": r.index,
+                    "workbook_name": r.workbook_name,
+                    "workbook_location": r.workbook_location,
+                    "worksheet_count": r.worksheet_count,
+                    "formula_count": r.formula_count,
+                    "hard_coding_count": r.hard_coding_count,
+                    "numeric_value_count": r.numeric_value_count,
+                    "error": r.error,
+                }
+                for r in rows
+            ],
+        }
+        assert render_batch_summary(rows, Format.JSON).body == stdlib_json(payload)
+
     def test_json_shape(self):
         parsed = json.loads(render_batch_summary(summary_rows(), Format.JSON).body.decode())
         assert [r["index"] for r in parsed["rows"]] == [1, 2, 3]
@@ -239,6 +309,17 @@ class TestHistogram:
         rows = list(csv.reader(io.StringIO(body)))
         assert rows[1] == ["0.01", "38"]
         assert rows[2] == ["100", "145"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(histograms)
+    @example([])
+    def test_json_layout_is_the_stdlib_indent_layout(self, histogram):
+        payload = {
+            "schema_version": 1,
+            "kind": "histogram",
+            "rows": [{"value": value, "count": count} for value, count in histogram],
+        }
+        assert render_histogram(histogram, Format.JSON).body == stdlib_json(payload)
 
     def test_json_lossless(self, report):
         histogram = constant_histogram([report])

@@ -89,14 +89,22 @@ class TestLoadXlsx:
         assert [r.render() for r in sheet.merged_regions] == ["B2:C3"]
         assert sheet.hidden_rows == frozenset({2})
         assert sheet.hidden_cols == frozenset({4, 5})
-        anchor = sheet.cells[(2, 2)]
-        assert anchor.is_merged_anchor
+        assert sheet.cells[(2, 2)].cached_value == 1
 
     def test_hidden_columns_to_the_last_column(self, tmp_path):
         # Excel hides every column right of C with max="16384" (column XFD)
         cols = '<cols><col min="4" max="16384" hidden="1"/></cols>'
         path = build_xlsx(tmp_path / "cols.xlsx", [{"name": "S", "cols": cols}])
         assert load_xlsx(path).sheets[0].hidden_cols == frozenset(range(4, 16_385))
+
+    def test_last_cell_of_the_sheet_loads(self, tmp_path):
+        rows = '<row r="1048576"><c r="XFD1048576"><v>7</v></c></row>'
+        path = build_xlsx(
+            tmp_path / "last.xlsx", [{"name": "S", "rows": rows, "merged": ["A1:XFD1"]}]
+        )
+        sheet = load_xlsx(path).sheets[0]
+        assert list(sheet.cells) == [(1_048_576, 16_384)]
+        assert [r.render() for r in sheet.merged_regions] == ["A1:XFD1"]
 
     def test_non_anchor_merged_content_dropped(self, tmp_path):
         rows = '<row r="2"><c r="B2"><v>1</v></c><c r="C2"><v>9</v></c></row>'
