@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 A1 = "A1"
 R1C1 = "R1C1"
 
-# a row or column index has at most 7 digits (1,048,576); a longer run never reaches int()
-_A1_RE = re.compile(r"^(\$?)([A-Za-z]{1,3})(\$?)([0-9]{1,7})$")
-_R1C1_RE = re.compile(r"^[Rr]([0-9]{1,7})[Cc]([0-9]{1,7})$")
+# both notations, R1C1 first; an index has at most 7 digits (1,048,576),
+# so a longer run never reaches int(), and re.ASCII keeps \d to 0-9
+_ADDRESS_RE = re.compile(
+    r"(?:[Rr](\d{1,7})[Cc](\d{1,7})|(\$?)([A-Za-z]{1,3})(\$?)(\d{1,7}))\Z", re.ASCII
+)
 
 # sheet size limits of the format (column XFD, row 1,048,576)
 MAX_COLUMNS = 16_384
@@ -32,31 +35,37 @@ def column_to_letters(column: int) -> str:
     return letters
 
 
-def letters_to_column(letters: str) -> int:
+@functools.cache
+def _letters_to_column(letters: str) -> int:
+    """Column index of 1 to 3 upper-case letters, so at most 18,278 keys."""
     n = 0
     for ch in letters:
-        if not ch.isalpha():
-            raise ValueError(f"bad column letters {letters!r}")
-        n = n * 26 + (ord(ch.upper()) - ord("A") + 1)
+        n = n * 26 + ord(ch) - ord("A") + 1
     return n
 
 
-@dataclass(frozen=True, order=True)
-class CellAddress:
+class _AddressFields(NamedTuple):
     row: int
     column: int
     col_absolute: bool = False
     row_absolute: bool = False
     style: str = A1
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.row <= MAX_ROWS and 1 <= self.column <= MAX_COLUMNS):
+
+class CellAddress(_AddressFields):
+    """Ordered and hashed as its field tuple; ``_replace``/``_make`` skip ``__new__``'s checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, row, column, col_absolute=False, row_absolute=False, style=A1):
+        if not (1 <= row <= MAX_ROWS and 1 <= column <= MAX_COLUMNS):
             raise AddressError(
                 f"row must be from 1 to {MAX_ROWS} and column from 1 to {MAX_COLUMNS},"
-                f" got row={self.row} column={self.column}"
+                f" got row={row} column={column}"
             )
-        if self.style not in (A1, R1C1):
-            raise AddressError(f"unknown reference style {self.style!r}")
+        if style not in (A1, R1C1):
+            raise AddressError(f"unknown reference style {style!r}")
+        return tuple.__new__(cls, (row, column, col_absolute, row_absolute, style))
 
     def render(self) -> str:
         if self.style == R1C1:
@@ -69,17 +78,10 @@ class CellAddress:
         )
 
     def absolute(self) -> "CellAddress":
-        if self.style == R1C1:
+        if self.style == R1C1 or (self.col_absolute and self.row_absolute):
             return self
-        if self.col_absolute and self.row_absolute:
-            return self
-        return CellAddress(
-            row=self.row,
-            column=self.column,
-            col_absolute=True,
-            row_absolute=True,
-            style=self.style,
-        )
+        # already checked when self was built
+        return tuple.__new__(CellAddress, (self.row, self.column, True, True, self.style))
 
     def coords(self) -> tuple[int, int]:
         return (self.row, self.column)
@@ -87,15 +89,11 @@ class CellAddress:
 
 def parse_address(text: str) -> CellAddress:
     """Parse a bare A1 or absolute R1C1 address (no sheet prefix)."""
-    m = _R1C1_RE.match(text)
-    if m:
-        return CellAddress(row=int(m.group(1)), column=int(m.group(2)), style=R1C1)
-    m = _A1_RE.match(text)
-    if m:
-        return CellAddress(
-            row=int(m.group(4)),
-            column=letters_to_column(m.group(2)),
-            col_absolute=m.group(1) == "$",
-            row_absolute=m.group(3) == "$",
-        )
-    raise AddressError(f"cannot parse cell address {text!r}")
+    m = _ADDRESS_RE.match(text)
+    if m is None:
+        raise AddressError(f"cannot parse cell address {text!r}")
+    r1c1_row, r1c1_column, col_dollar, letters, row_dollar, row = m.groups()
+    if r1c1_row is not None:
+        return CellAddress(int(r1c1_row), int(r1c1_column), False, False, R1C1)
+    column = _letters_to_column(letters.upper())
+    return CellAddress(int(row), column, col_dollar == "$", row_dollar == "$")

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fnmatch import fnmatchcase
+from typing import NamedTuple
 
 from .addresses import CellAddress
 from .lexer import (
@@ -136,20 +137,15 @@ class FindingKind(Enum):
 CONSTANT_BEARING_KINDS = frozenset(
     {FindingKind.HARD_CODED_CONSTANT, FindingKind.CONSTANT_ONLY_FORMULA}
 )
-NUMERIC_ENTRY_KINDS = frozenset(
-    {FindingKind.DIRECT_NUMERIC_ENTRY, FindingKind.EXPECTED_INPUT_VALUE}
-)
 
 
-@dataclass(frozen=True)
-class ConstantOccurrence:
+class ConstantOccurrence(NamedTuple):
     value: float
     start: int
     end: int
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     kind: FindingKind
     sheet: str
     address: CellAddress
@@ -288,10 +284,9 @@ def analyze_workbook(workbook: Workbook, config: DetectionConfig) -> AnalysisRep
                     formula, config, workbook.ref_style
                 )
             findings.extend(_formula_findings(cell, sheet.name, result))
-    hard_coding_count = sum(
-        len(f.constants) for f in findings if f.kind in CONSTANT_BEARING_KINDS
-    )
-    numeric_value_count = sum(1 for f in findings if f.kind in NUMERIC_ENTRY_KINDS)
+    # only constant-bearing findings carry constants, and only numeric entries lack a formula
+    hard_coding_count = sum(len(f.constants) for f in findings)
+    numeric_value_count = sum(1 for f in findings if f.formula_text is None)
     return AnalysisReport(
         workbook_name=workbook.name,
         workbook_location=workbook.source_path,

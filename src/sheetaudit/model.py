@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 from .addresses import (
     A1,
@@ -69,17 +70,23 @@ def parse_range(text: str) -> Rectangle:
         raise ValueError(f"cannot parse range {text!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class Cell:
+class _CellFields(NamedTuple):
     address: CellAddress
     formula_text: str | None = None
     cached_value: Scalar | None = None
 
-    def __post_init__(self) -> None:
-        if self.formula_text is None and self.cached_value is None:
-            raise ValueError(f"cell {self.address.render()} has neither formula nor value")
-        if self.formula_text is not None and not self.formula_text.startswith("="):
-            object.__setattr__(self, "formula_text", "=" + self.formula_text)
+
+class Cell(_CellFields):
+    """A formula's text starts with ``=``; ``_replace``/``_make`` skip ``__new__``'s checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, address, formula_text=None, cached_value=None):
+        if formula_text is None and cached_value is None:
+            raise ValueError(f"cell {address.render()} has neither formula nor value")
+        if formula_text is not None and not formula_text.startswith("="):
+            formula_text = "=" + formula_text
+        return tuple.__new__(cls, (address, formula_text, cached_value))
 
 
 @dataclass
@@ -177,8 +184,10 @@ def workbook_from_document(doc: object, source_path: str = "") -> Workbook:
     raw_sheets = doc.get("sheets", [])
     if not isinstance(raw_sheets, list):
         raise SchemaError("/sheets", "must be an array")
+    # one address per distinct cell key, shared by every sheet that uses it
+    parse = functools.cache(parse_address)
     sheets = tuple(
-        _sheet_from_document(raw, f"/sheets/{i}") for i, raw in enumerate(raw_sheets)
+        _sheet_from_document(raw, f"/sheets/{i}", parse) for i, raw in enumerate(raw_sheets)
     )
     try:
         return Workbook(name=name, source_path=source_path, sheets=sheets, ref_style=ref_style)
@@ -186,7 +195,7 @@ def workbook_from_document(doc: object, source_path: str = "") -> Workbook:
         raise SchemaError("/sheets", str(exc)) from None
 
 
-def _sheet_from_document(raw: object, location: str) -> Sheet:
+def _sheet_from_document(raw: object, location: str, parse: Callable[[str], CellAddress]) -> Sheet:
     if not isinstance(raw, dict):
         raise SchemaError(location, "sheet must be an object")
     _require_keys(raw, _SHEET_KEYS, location)
@@ -203,27 +212,32 @@ def _sheet_from_document(raw: object, location: str) -> Sheet:
     raw_cells = raw.get("cells", {})
     if not isinstance(raw_cells, dict):
         raise SchemaError(f"{location}/cells", "must be an object")
-    for addr_text, raw_cell in raw_cells.items():
-        cell_loc = f"{location}/cells/{addr_text}"
+    for key, raw_cell in raw_cells.items():
         try:
-            address = parse_address(addr_text)
+            address = parse(key)
         except AddressError as exc:
-            raise SchemaError(cell_loc, str(exc)) from None
+            raise SchemaError(f"{location}/cells/{key}", str(exc)) from None
         if not isinstance(raw_cell, dict):
-            raise SchemaError(cell_loc, "cell must be an object")
-        _require_keys(raw_cell, _CELL_KEYS, cell_loc)
+            raise SchemaError(f"{location}/cells/{key}", "cell must be an object")
+        if not _CELL_KEYS.issuperset(raw_cell):
+            _require_keys(raw_cell, _CELL_KEYS, f"{location}/cells/{key}")
         formula = raw_cell.get("f")
         value = raw_cell.get("v")
         if formula is not None and not isinstance(formula, str):
-            raise SchemaError(f"{cell_loc}/f", "formula must be a string")
+            raise SchemaError(f"{location}/cells/{key}/f", "formula must be a string")
         if value is not None and not isinstance(value, (int, float, str, bool)):
-            raise SchemaError(f"{cell_loc}/v", "value must be a scalar")
-        try:
-            cells[address.coords()] = Cell(
-                address=address, formula_text=formula, cached_value=value
+            raise SchemaError(f"{location}/cells/{key}/v", "value must be a scalar")
+        coords = address.coords()
+        if coords in cells:
+            # the keys before this one all parsed; the first with these coords filled them
+            first = next(k for k in raw_cells if parse(k).coords() == coords)
+            raise SchemaError(
+                f"{location}/cells/{key}", f"keys {first!r} and {key!r} name the same cell"
             )
+        try:
+            cells[coords] = Cell(address, formula, value)
         except ValueError as exc:
-            raise SchemaError(cell_loc, str(exc)) from None
+            raise SchemaError(f"{location}/cells/{key}", str(exc)) from None
 
     raw_merged = raw.get("merged", [])
     if not isinstance(raw_merged, list):

@@ -8,7 +8,10 @@ are never recomputed; write support is deliberately absent.
 
 from __future__ import annotations
 
+import math
+import re
 import zipfile
+import zlib
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -27,6 +30,10 @@ _VISIBILITY = {
     "hidden": SheetVisibility.HIDDEN,
     "veryHidden": SheetVisibility.VERY_HIDDEN,
 }
+
+
+# a finite decimal or scientific <v> number, not Python's wider syntax (1_000, " 7 ", nan)
+_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 
 class FormatError(ValueError):
@@ -80,7 +87,11 @@ def load_xlsx(path: str | Path) -> Workbook:
 
 
 def _read_xml(archive: zipfile.ZipFile, member: str) -> ElementTree.Element:
-    data = archive.read(member)
+    try:
+        data = archive.read(member)
+    # a bad CRC, a corrupt or truncated stream, an unknown compression, encryption
+    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError) as exc:
+        raise FormatError(f"{member}: unreadable member ({str(exc) or 'truncated'})") from None
     try:
         return ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:
@@ -183,14 +194,19 @@ def _read_cell_content(
     if f_elem is not None:
         body = f_elem.text or ""
         si = f_elem.get("si")
-        if f_elem.get("t") == "shared" and si is not None:
+        if f_elem.get("t") == "shared":
             if body:
                 shared_formulas[si] = body
             else:
                 # follower of a shared formula; reuse the master text
                 # (references are not re-based, which is fine for a
                 # constant audit)
-                body = shared_formulas.get(si, "")
+                body = shared_formulas.get(si)
+                if body is None:
+                    raise FormatError(
+                        f"sheet {sheet_name!r}: cell {c.get('r')}: shared formula"
+                        f" si={si!r} has no master"
+                    )
         if body:
             formula = "=" + body
 
@@ -235,14 +251,9 @@ def _index_attr(elem: ElementTree.Element, key: str, sheet_name: str, limit: int
 
 
 def _parse_number(raw: str, sheet_name: str, ref: str) -> Scalar:
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        raise FormatError(f"sheet {sheet_name!r}: cell {ref}: bad number {raw!r}") from None
+    if _NUMBER_RE.fullmatch(raw) and math.isfinite(number := float(raw)):
+        return int(raw) if raw.lstrip("+-").isdigit() else number
+    raise FormatError(f"sheet {sheet_name!r}: cell {ref}: bad number {raw!r}")
 
 
 def _inside_merge(coords: tuple[int, int], merged: list[Rectangle]) -> bool:

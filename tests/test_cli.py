@@ -1,4 +1,5 @@
 import json
+import struct
 import zipfile
 from dataclasses import fields
 
@@ -107,6 +108,25 @@ class TestExitCodes:
         assert errors["good.xlsx"] is None
         assert (tmp_path / "out" / "good.findings.json").exists()
 
+    @pytest.mark.parametrize("damage", ["flip-deflated", "flip-stored", "truncated",
+                                        "compression-method", "encrypted"])
+    def test_corrupt_worksheet_member_is_an_error_row(self, tmp_path, capsys, damage):
+        rows = '<row r="1"><c r="A1"><f>B1/12</f><v>4</v></c></row>'
+        build_xlsx(tmp_path / "good.xlsx", [{"name": "S", "rows": rows}])
+        broken = tmp_path / "broken.xlsx"
+        build_xlsx(broken, [{"name": "S", "rows": rows}])
+        damage_member(broken, "xl/worksheets/sheet1.xml", damage)
+        code = main(
+            [str(tmp_path / "*.xlsx"), "--out", str(tmp_path / "out"), "--format", "json"]
+        )
+        assert code == 2
+        assert "broken.xlsx" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        errors = {row["workbook_name"]: row["error"] for row in summary["rows"]}
+        assert "xl/worksheets/sheet1.xml" in errors["broken.xlsx"]
+        assert errors["good.xlsx"] is None
+        assert (tmp_path / "out" / "good.findings.json").exists()
+
     @pytest.mark.parametrize(
         "document",
         [
@@ -140,6 +160,38 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: config ")
 
 
+def damage_member(path, member, damage):
+    """Corrupt one member of a ZIP package in place, in the way ``damage`` names."""
+    if damage in ("flip-stored", "truncated"):
+        # stored uncompressed: a flipped byte fails only the CRC check, and
+        # a stated size past the end of the file runs the reader out of bytes
+        with zipfile.ZipFile(path) as src:
+            members = [(info, src.read(info)) for info in src.infolist()]
+        with zipfile.ZipFile(path, "w") as dst:
+            for info, body in members:
+                dst.writestr(info, body, compress_type=zipfile.ZIP_STORED)
+    data = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    body_start = info.header_offset + 30 + name_len + extra_len
+    # the central directory record, which the reader trusts for sizes and flags
+    central = data.rindex(member.encode()) - 46
+    assert data[central : central + 4] == b"PK\x01\x02"
+    if damage == "flip-deflated":
+        # the first byte holds the first block's type, which becomes invalid
+        data[body_start] ^= 0xFF
+    elif damage == "flip-stored":
+        data[body_start + info.compress_size // 2] ^= 0xFF
+    elif damage == "truncated":
+        struct.pack_into("<II", data, central + 20, len(data), len(data))
+    elif damage == "compression-method":
+        struct.pack_into("<H", data, central + 10, 99)
+    elif damage == "encrypted":
+        struct.pack_into("<H", data, central + 8, info.flag_bits | 0x1)
+    path.write_bytes(bytes(data))
+
+
 def cell_row(ref, content="<v>1</v>"):
     return {"rows": f'<row r="1"><c r="{ref}">{content}</c></row>'}
 
@@ -158,6 +210,11 @@ MALFORMED_SHEETS = {
     "cell-row-max.xlsx": [cell_row("A1048577")],
     "merge-max.xlsx": [{"merged": ["A1:XFE1"]}],
     "bad-number.xlsx": [cell_row("A1", "<v>abc</v>")],
+    "number-underscore.xlsx": [cell_row("A1", "<v>1_000</v>")],
+    "number-spaces.xlsx": [cell_row("A1", "<v> 7 </v>")],
+    "number-nan.xlsx": [cell_row("A1", "<v>nan</v>")],
+    "number-inf.xlsx": [cell_row("A1", "<v>inf</v>")],
+    "shared-no-master.xlsx": [cell_row("C2", '<f t="shared" si="9"/><v>42</v>')],
     "duplicate-sheets.xlsx": [{}, {}],
 }
 MALFORMED_JSON = {
@@ -172,6 +229,9 @@ MALFORMED_JSON = {
     "cell-row-digits.json": b'{"name": "m", "sheets": [{"name": "S", "cells": {"A%s": {"v": 1}}}]}'
     % (b"9" * 5000,),
     "merged-max.json": b'{"name": "m", "sheets": [{"name": "S", "merged": ["A1:XFE1"]}]}',
+    # one cell spelt three ways; only the last spelling would survive
+    "duplicate-cell-keys.json": b'{"name": "m", "sheets": [{"name": "S", "cells":'
+    b' {"A1": {"f": "=B1*12"}, "a1": {"v": 5}, "R1C1": {"v": 7}}}]}',
 }
 
 
