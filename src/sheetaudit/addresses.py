@@ -24,7 +24,9 @@ class AddressError(ValueError):
     """Raised when an address string cannot be parsed."""
 
 
+@functools.cache
 def column_to_letters(column: int) -> str:
+    """Letters of a column index, memoized on use: checked columns are at most 16,384."""
     if column < 1:
         raise ValueError(f"column must be >= 1, got {column}")
     letters = ""

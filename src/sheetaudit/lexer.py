@@ -145,13 +145,12 @@ def tokenize(formula_text: str, ref_style: str = A1) -> list[Token]:
     unparseable instead of aborting the workbook.
     """
     text = formula_text
-    match = _GRAMMARS[R1C1 if ref_style == R1C1 else A1].match
     tokens: list[Token] = []
     pos = 0
-    n = len(text)
-    while pos < n:
-        m = match(text, pos)
-        if m is None:
+    # no rule matches the empty string, so a match that starts past pos
+    # means no rule matched at pos
+    for m in _GRAMMARS[R1C1 if ref_style == R1C1 else A1].finditer(text):
+        if m.start() != pos:
             raise _lex_error(text, pos)
         kind = _KINDS[m.lastgroup]
         end = m.end()
@@ -162,8 +161,11 @@ def tokenize(formula_text: str, ref_style: str = A1) -> list[Token]:
             prev = tokens[-1]
             if prev.kind is TokenKind.NUMERIC_LITERAL:
                 tokens[-1] = prev._replace(numeric_value=prev.numeric_value / 100.0)
-        tokens.append(Token(kind, text[pos:end], pos, end, value))
+        # Token has no checks in __new__ to skip, so the tuple is built directly
+        tokens.append(tuple.__new__(Token, (kind, text[pos:end], pos, end, value)))
         pos = end
+    if pos != len(text):
+        raise _lex_error(text, pos)
     return tokens
 
 

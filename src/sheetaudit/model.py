@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -163,6 +164,7 @@ def audit_metadata(workbook: Workbook) -> list[AuditWarning]:
 _WORKBOOK_KEYS = {"name", "ref_style", "sheets"}
 _SHEET_KEYS = {"name", "visibility", "cells", "merged", "hidden_rows", "hidden_cols"}
 _CELL_KEYS = {"f", "v"}
+_FLOAT_MAX = sys.float_info.max
 
 
 def _require_keys(obj: dict, allowed: set[str], location: str) -> None:
@@ -227,6 +229,9 @@ def _sheet_from_document(raw: object, location: str, parse: Callable[[str], Cell
             raise SchemaError(f"{location}/cells/{key}/f", "formula must be a string")
         if value is not None and not isinstance(value, (int, float, str, bool)):
             raise SchemaError(f"{location}/cells/{key}/v", "value must be a scalar")
+        if isinstance(value, (int, float)) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            # json reads NaN, Infinity and 1e999; like an XLSX <v>, a cell holds a finite number
+            raise SchemaError(f"{location}/cells/{key}/v", "value must be a finite number")
         coords = address.coords()
         if coords in cells:
             # the keys before this one all parsed; the first with these coords filled them

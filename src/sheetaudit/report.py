@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
 
-from .detect import AnalysisReport
+from .detect import AnalysisReport, ConstantOccurrence, Finding, FindingKind
 from .model import Scalar
 
 SCHEMA_VERSION = 1
@@ -68,7 +68,8 @@ class EmptyBatch(ValueError):
 
 def format_number(value: float) -> str:
     """Shortest faithful decimal rendering, no trailing-zero padding."""
-    if value == int(value) and abs(value) < 1e16:
+    # the magnitude test comes first, so inf and nan reach repr, never int()
+    if abs(value) < 1e16 and value == int(value):
         return str(int(value))
     return repr(float(value))
 
@@ -182,30 +183,15 @@ def render_detail(
 # each object is a ``%`` template with its keys in document order.
 
 
+# the opening of a finding object up to its sheet, once per kind
+_FINDING_HEADS = {
+    kind: '  {\n   "kind": %s,\n   "sheet": ' % encode_basestring(kind.value)
+    for kind in FindingKind
+}
+
+
 def _detail_json(report: AnalysisReport) -> str:
     q = encode_basestring
-    findings = []
-    for f in report.findings:
-        text = '  {\n   "kind": %s,\n   "sheet": %s,\n   "cell": %s' % (
-            q(f.kind.value), q(f.sheet), q(f.address.render())
-        )
-        if f.formula_text is not None:
-            text += ',\n   "formula": ' + q(f.formula_text)
-        if f.cached_value is not None:
-            value = f.cached_value
-            text += ',\n   "value": ' + (q(value) if isinstance(value, str) else _json_number(value))
-        if f.constants:
-            text += ',\n   "constants": ' + _json_array(
-                [
-                    '    {\n     "value": %s,\n     "start": %d,\n     "end": %d\n    }'
-                    % (_json_number(o.value), o.start, o.end)
-                    for o in f.constants
-                ],
-                "   ",
-            )
-        if f.detail:
-            text += ',\n   "detail": ' + q(f.detail)
-        findings.append(text + "\n  }")
     warnings = [
         '  {\n   "kind": %s,\n   "sheet": %s,\n   "count": %d,\n   "locations": %s\n  }'
         % (
@@ -230,10 +216,55 @@ def _detail_json(report: AnalysisReport) -> str:
             report.formula_count,
             report.hard_coding_count,
             report.numeric_value_count,
-            _json_array(findings, " "),
+            _json_array(_findings_json(report.findings), " "),
             _json_array(warnings, " "),
         )
     )
+
+
+def _findings_json(findings: tuple[Finding, ...]) -> list[str]:
+    """Each finding object, written out.
+
+    Every cell classified from one formula text shares its constants
+    tuple, so a finding's tail from "constants" on is written once per
+    tuple and detail.  The key is the tuple's identity, not its value:
+    equal tuples can render differently (1 and 1.0, 0.0 and -0.0), and
+    the caller keeps every tuple alive, so no id is reused.  The memo
+    ends with this call, before the findings are joined into the document.
+    """
+    q = encode_basestring
+    heads = _FINDING_HEADS
+    tails: dict[tuple[int, str], str] = {}
+    items = []
+    for kind, sheet, address, formula, value, constants, detail in findings:
+        text = heads[kind] + q(sheet) + ',\n   "cell": ' + q(address.render())
+        if formula is not None:
+            text += ',\n   "formula": ' + q(formula)
+        if value is not None:
+            text += ',\n   "value": ' + (q(value) if isinstance(value, str) else _json_number(value))
+        key = (id(constants), detail)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = _finding_tail(constants, detail)
+        items.append(text + tail)
+    return items
+
+
+def _finding_tail(constants: tuple[ConstantOccurrence, ...], detail: str) -> str:
+    """A finding object from its "constants" member to its closing brace."""
+    text = ""
+    if constants:
+        text = ',\n   "constants": ' + _json_array(
+            [
+                '    {\n     "value": %s,\n     "start": %d,\n     "end": %d\n    }'
+                % (_json_number(o.value), o.start, o.end)
+                for o in constants
+            ],
+            "   ",
+        )
+    if detail:
+        text += ',\n   "detail": ' + encode_basestring(detail)
+    return text + "\n  }"
 
 
 # how ``json`` spells the scalars whose ``repr`` is not JSON

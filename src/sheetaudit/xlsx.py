@@ -12,6 +12,7 @@ import math
 import re
 import zipfile
 import zlib
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -32,8 +33,11 @@ _VISIBILITY = {
 }
 
 
+# tags read per cell, as Clark names: a prefixed find() sorts the namespace map per call
+_C, _F, _V, _IS, _T = ("{%s}%s" % (_NS["main"], tag) for tag in ("c", "f", "v", "is", "t"))
 # a finite decimal or scientific <v> number, not Python's wider syntax (1_000, " 7 ", nan)
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+_BOOLEANS = {"0": False, "1": True, "false": False, "true": True}
 
 
 class FormatError(ValueError):
@@ -119,10 +123,7 @@ def _read_shared_strings(archive: zipfile.ZipFile) -> list[str]:
         root = _read_xml(archive, "xl/sharedStrings.xml")
     except KeyError:
         return []
-    strings = []
-    for si in root.findall("main:si", _NS):
-        strings.append("".join(t.text or "" for t in si.iter(f"{{{_NS['main']}}}t")))
-    return strings
+    return ["".join(t.text or "" for t in si.iter(_T)) for si in root.findall("main:si", _NS)]
 
 
 def _read_sheet(
@@ -151,12 +152,10 @@ def _read_sheet(
     # shared-formula masters, keyed by si attribute
     shared_formulas: dict[str, str] = {}
     cells: dict[tuple[int, int], Cell] = {}
-    anchors = {r.top_left.coords() for r in merged}
-
     for row in root.findall("main:sheetData/main:row", _NS):
         if row.get("hidden") in ("1", "true"):
             hidden_rows.add(_index_attr(row, "r", name, MAX_ROWS))
-        for c in row.findall("main:c", _NS):
+        for c in row.findall(_C):
             ref = c.get("r")
             if not ref:
                 continue
@@ -168,10 +167,20 @@ def _read_sheet(
             if formula is None and value is None:
                 continue
             coords = address.coords()
-            if _inside_merge(coords, merged) and coords not in anchors:
-                # only the merge anchor may carry content
-                continue
+            if coords in cells:
+                earlier = cells[coords].address.render()
+                raise FormatError(f"sheet {name!r}: cells {earlier!r} and {ref!r} are the same cell")
             cells[coords] = Cell(address=address, formula_text=formula, cached_value=value)
+
+    # only a merge's anchor keeps its content; a merge walks the populated cells of its rows
+    anchors = {r.top_left.coords() for r in merged}
+    populated = sorted(cells) if merged else []
+    for r in merged:
+        (top, left), (bottom, right) = r.top_left.coords(), r.bottom_right.coords()
+        lo, hi = bisect_left(populated, (top, left)), bisect_right(populated, (bottom, right))
+        for coords in populated[lo:hi]:
+            if left <= coords[1] <= right and coords not in anchors:
+                cells.pop(coords, None)
 
     return Sheet(
         name=name,
@@ -189,7 +198,9 @@ def _read_cell_content(
     shared_formulas: dict[str, str],
     sheet_name: str,
 ) -> tuple[str | None, Scalar | None]:
-    f_elem = c.find("main:f", _NS)
+    # one walk over the children; the first of each tag wins, as in find()
+    children = {child.tag: child for child in reversed(c)}
+    f_elem = children.get(_F)
     formula = None
     if f_elem is not None:
         body = f_elem.text or ""
@@ -210,14 +221,12 @@ def _read_cell_content(
         if body:
             formula = "=" + body
 
-    v_elem = c.find("main:v", _NS)
     value: Scalar | None = None
     cell_type = c.get("t", "n")
     if cell_type == "inlineStr":
-        is_elem = c.find("main:is", _NS)
-        if is_elem is not None:
-            value = "".join(t.text or "" for t in is_elem.iter(f"{{{_NS['main']}}}t"))
-    elif v_elem is not None and v_elem.text is not None:
+        if (is_elem := children.get(_IS)) is not None:
+            value = "".join(t.text or "" for t in is_elem.iter(_T))
+    elif (v_elem := children.get(_V)) is not None and v_elem.text is not None:
         raw = v_elem.text
         if cell_type == "s":
             try:
@@ -227,7 +236,8 @@ def _read_cell_content(
                     f"sheet {sheet_name!r}: bad shared string index {raw!r}"
                 ) from None
         elif cell_type == "b":
-            value = raw not in ("0", "false")
+            if (value := _BOOLEANS.get(raw)) is None:
+                raise FormatError(f"sheet {sheet_name!r}: cell {c.get('r')}: bad boolean {raw!r}")
         elif cell_type in ("str", "e"):
             value = raw
         else:
@@ -255,7 +265,3 @@ def _parse_number(raw: str, sheet_name: str, ref: str) -> Scalar:
         return int(raw) if raw.lstrip("+-").isdigit() else number
     raise FormatError(f"sheet {sheet_name!r}: cell {ref}: bad number {raw!r}")
 
-
-def _inside_merge(coords: tuple[int, int], merged: list[Rectangle]) -> bool:
-    row, col = coords
-    return any(r.contains(row, col) for r in merged)

@@ -216,6 +216,12 @@ MALFORMED_SHEETS = {
     "number-inf.xlsx": [cell_row("A1", "<v>inf</v>")],
     "shared-no-master.xlsx": [cell_row("C2", '<f t="shared" si="9"/><v>42</v>')],
     "duplicate-sheets.xlsx": [{}, {}],
+    # one cell twice; only the second would survive, and the 12 would go unaudited
+    "duplicate-cell.xlsx": [
+        {"rows": '<row r="1"><c r="A1"><f>B1*12</f><v>4</v></c><c r="a1"><v>5</v></c></row>'}
+    ],
+    "boolean-text.xlsx": [{"rows": '<row r="1"><c r="A1" t="b"><v>abc</v></c></row>'}],
+    "boolean-two.xlsx": [{"rows": '<row r="1"><c r="A1" t="b"><v>2</v></c></row>'}],
 }
 MALFORMED_JSON = {
     "merged-not-list.json": b'{"name": "m", "sheets": [{"name": "S", "merged": 5}]}',
@@ -232,6 +238,10 @@ MALFORMED_JSON = {
     # one cell spelt three ways; only the last spelling would survive
     "duplicate-cell-keys.json": b'{"name": "m", "sheets": [{"name": "S", "cells":'
     b' {"A1": {"f": "=B1*12"}, "a1": {"v": 5}, "R1C1": {"v": 7}}}]}',
+    # json reads these as floats; a cell value must be a finite number
+    "value-nan.json": b'{"name": "m", "sheets": [{"name": "S", "cells": {"A1": {"v": NaN}}}]}',
+    "value-inf.json": b'{"name": "m", "sheets": [{"name": "S", "cells": {"A1": {"v": Infinity}}}]}',
+    "value-1e999.json": b'{"name": "m", "sheets": [{"name": "S", "cells": {"A1": {"v": 1e999}}}]}',
 }
 
 
@@ -325,6 +335,21 @@ class TestOutputs:
         code = main([str(tmp_path / "*"), "--out", str(tmp_path / "out")])
         assert code == 0
         assert "skipping non-workbook file" in capsys.readouterr().err
+
+    def test_infinite_constant_in_every_format(self, tmp_path):
+        # 1e999 lexes as a constant whose value is inf
+        cells = {"A1": {"f": "=A2*1e999"}, "A2": {"v": 2}}
+        doc = {"name": "inf", "sheets": [{"name": "S", "cells": cells}]}
+        (tmp_path / "inf.json").write_text(json.dumps(doc))
+        args = [str(tmp_path / "inf.json"), "--out", str(tmp_path / "out")]
+        code = main(args + ["--format", "text", "--format", "csv", "--format", "json"])
+        assert code == 1
+        out = tmp_path / "out"
+        for ext in ("txt", "csv", "json"):
+            for stem in ("inf.findings", "summary", "constants"):
+                assert (out / f"{stem}.{ext}").exists()
+        assert "inf" in (out / "inf.findings.txt").read_text().split("=A2*1e999")[1]
+        assert "inf,1" in (out / "constants.csv").read_text()
 
     def test_xlsx_input(self, tmp_path):
         build_xlsx(

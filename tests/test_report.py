@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -83,7 +85,15 @@ def summary_rows():
 class TestFormatNumber:
     @pytest.mark.parametrize(
         "value,expected",
-        [(0, "0"), (200.0, "200"), (0.01, "0.01"), (100, "100"), (247.536, "247.536"), (1000000, "1000000")],
+        [
+            (0, "0"),
+            (200.0, "200"),
+            (0.01, "0.01"),
+            (100, "100"),
+            (247.536, "247.536"),
+            (1000000, "1000000"),
+            (float("inf"), "inf"),
+        ],
     )
     def test_no_trailing_zero_padding(self, value, expected):
         assert format_number(value) == expected
@@ -138,6 +148,40 @@ reports = st.builds(
     st.lists(findings, max_size=4).map(tuple),
     st.lists(audit_warnings, max_size=3).map(tuple),
 )
+
+
+# an equal value that json spells differently
+_RESPELLED = {"1": 1.0, "1.0": 1, "0.0": -0.0, "-0.0": 0.0}
+
+
+@st.composite
+def shared_constants_reports(draw):
+    """Reports whose findings draw their constants tuples, and details, from
+    small pools; each tuple in the pool has an equal twin spelt differently."""
+    occurrence = st.builds(
+        ConstantOccurrence,
+        st.sampled_from([1, 1.0, 0.0, -0.0, 2.5, float("inf")]),
+        st.integers(0, 1),
+        st.integers(0, 1),
+    )
+    pool = draw(st.lists(st.lists(occurrence, max_size=2).map(tuple), min_size=1, max_size=3))
+    pool += [
+        tuple(o._replace(value=_RESPELLED.get(repr(o.value), o.value)) for o in c) for c in pool
+    ]
+    shared = st.builds(
+        Finding,
+        st.sampled_from(list(FindingKind)),
+        st.sampled_from(["S", "T"]),
+        addresses,
+        st.none() | st.text(max_size=5),
+        cached_values,
+        st.sampled_from(pool),
+        st.sampled_from(["", "x", "unterminated"]),
+    )
+    findings = draw(st.lists(shared, min_size=2, max_size=8).map(tuple))
+    return AnalysisReport("w", "loc", 1, 0, 0, 0, findings=findings)
+
+
 big_ints = st.integers(-(10**40), 10**40)
 batch_rows = st.builds(
     BatchSummaryRow, big_ints, st.text(), st.text(), *[big_ints] * 4, st.none() | st.text()
@@ -229,6 +273,43 @@ class TestDetail:
         got = [(f.get("value"), [o["value"] for o in f.get("constants", [])]) for f in parsed["findings"]]
         want = [(f.cached_value, [o.value for o in f.constants]) for f in generated.findings]
         assert repr(got) == repr(want)
+
+    def test_equal_constants_keep_their_own_spelling(self):
+        # equal tuples that json spells differently: 1 == 1.0 and 0.0 == -0.0
+        spellings = [(1, "1"), (1.0, "1.0"), (0.0, "0.0"), (-0.0, "-0.0")]
+        generated = AnalysisReport(
+            "w", "loc", 1, 4, 4, 0,
+            findings=tuple(
+                Finding(
+                    FindingKind.HARD_CODED_CONSTANT,
+                    "S",
+                    CellAddress(row, 1),
+                    "=A2*1",
+                    constants=(ConstantOccurrence(value, 3, 4),),
+                )
+                for row, (value, _) in enumerate(spellings, start=1)
+            ),
+        )
+        body = render_detail(generated, Format.JSON).body.decode()
+        got = re.findall(r'"constants": \[\n    \{\n     "value": ([^,]+),', body)
+        assert got == [spelling for _, spelling in spellings]
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_constants_reports())
+    def test_shared_constants_render_as_rebuilt_ones(self, generated):
+        rebuilt = dataclasses.replace(
+            generated,
+            findings=tuple(
+                f._replace(constants=tuple(ConstantOccurrence(*o) for o in f.constants))
+                for f in generated.findings
+            ),
+        )
+        for fmt in Format:
+            assert render_detail(generated, fmt).body == render_detail(rebuilt, fmt).body
+        # and each finding keeps its own spelling where equal tuples meet
+        parsed = json.loads(render_detail(generated, Format.JSON).body)
+        got = [[o["value"] for o in f.get("constants", [])] for f in parsed["findings"]]
+        assert repr(got) == repr([[o.value for o in f.constants] for f in generated.findings])
 
     def test_byte_identical_rendering(self, report):
         for fmt in Format:

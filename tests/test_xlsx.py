@@ -115,6 +115,33 @@ class TestLoadXlsx:
         assert (2, 2) in sheet.cells
         assert (2, 3) not in sheet.cells
 
+    def test_merge_over_the_whole_sheet_keeps_only_anchors(self, tmp_path):
+        # the lookup walks populated cells, never the 17e9 covered coordinates;
+        # C3 anchors its own merge inside the big one, so it stays, as before
+        rows = (
+            '<row r="1"><c r="A1"><v>1</v></c><c r="B1"><v>2</v></c></row>'
+            '<row r="3"><c r="C3"><v>3</v></c><c r="D4"><v>4</v></c></row>'
+            '<row r="1048576"><c r="XFD1048576"><v>5</v></c></row>'
+        )
+        merged = ["A1:XFD1048576", "C3:D4"]
+        path = build_xlsx(tmp_path / "all.xlsx", [{"name": "S", "rows": rows, "merged": merged}])
+        sheet = load_xlsx(path).sheets[0]
+        assert sorted(sheet.cells) == [(1, 1), (3, 3)]
+
+    def test_repeated_cell_names_sheet_and_both_refs(self, tmp_path):
+        rows = '<row r="1"><c r="A1"><f>B1*12</f><v>4</v></c><c r="a1"><v>5</v></c></row>'
+        path = build_xlsx(tmp_path / "twice.xlsx", [{"name": "S", "rows": rows}])
+        with pytest.raises(FormatError, match=r"sheet 'S': cells 'A1' and 'a1' are the same cell"):
+            load_xlsx(path)
+
+    @pytest.mark.parametrize(
+        "raw,expected", [("1", True), ("0", False), ("true", True), ("false", False)]
+    )
+    def test_boolean_spellings(self, tmp_path, raw, expected):
+        rows = f'<row r="1"><c r="A1" t="b"><v>{raw}</v></c></row>'
+        path = build_xlsx(tmp_path / "bool.xlsx", [{"name": "S", "rows": rows}])
+        assert load_xlsx(path).sheets[0].cells[(1, 1)].cached_value is expected
+
     def test_boolean_and_error_values(self, tmp_path):
         rows = (
             '<row r="1">'
