@@ -23,7 +23,7 @@ from .detect import (
     analyze_workbook,
     constant_histogram,
 )
-from .model import SchemaError, load_json
+from .model import SchemaError, load_json, parse_range
 from .report import (
     BatchSummaryRow,
     Format,
@@ -56,7 +56,17 @@ class OptionsError(ValueError):
 def _region_document(text: str) -> dict:
     """``SHEET[!RANGE]`` as a config ``data_regions`` entry; a range never holds ``!``."""
     sheet, sep, rng = text.rpartition("!")
-    return {"sheet": sheet, "range": rng} if sep else {"sheet": text}
+    if not sep:
+        return {"sheet": text}
+    # not read as a whole sheet instead: a mistyped range would then match no sheet
+    try:
+        parse_range(rng)
+    except ValueError as exc:
+        raise OptionsError(
+            f"config data_regions: --data-region {text!r}: {exc}; a whole sheet whose"
+            f" name holds '!' needs a config-file entry such as {json.dumps({'sheet': text})}"
+        ) from None
+    return {"sheet": sheet, "range": rng}
 
 
 def _load_config_document(path: Path) -> dict:

@@ -133,6 +133,11 @@ class FindingKind(Enum):
     EXPECTED_INPUT_VALUE = "expected_input_value"
     UNPARSEABLE = "unparseable"
 
+    # Enum's own hash is a Python-level call, made once per finding by the
+    # renderer's and the histogram's lookups; members are singletons, so
+    # the identity hash agrees with equality
+    __hash__ = object.__hash__
+
 
 CONSTANT_BEARING_KINDS = frozenset(
     {FindingKind.HARD_CODED_CONSTANT, FindingKind.CONSTANT_ONLY_FORMULA}

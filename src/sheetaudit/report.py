@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
@@ -88,12 +89,8 @@ def safe_filename(name: str) -> str:
     return re.sub(r"[^-._A-Za-z0-9]", "_", name) or "workbook"
 
 
-def _finish(fmt: Format, body: str, stem: str) -> RenderedDocument:
-    return RenderedDocument(
-        format=fmt,
-        body=body.encode("utf-8"),
-        suggested_filename=f"{stem}.{_EXTENSIONS[fmt]}",
-    )
+def _finish(fmt: Format, body: bytes, stem: str) -> RenderedDocument:
+    return RenderedDocument(format=fmt, body=body, suggested_filename=f"{stem}.{_EXTENSIONS[fmt]}")
 
 
 def _text_table(rows: list[list[str]]) -> str:
@@ -105,11 +102,11 @@ def _text_table(rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_body(rows: list[list[str]]) -> str:
+def _csv_body(rows: list[list[str]]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
-    return buf.getvalue()
+    return buf.getvalue().encode()
 
 
 # --- per-workbook detail ----------------------------------------------
@@ -122,7 +119,7 @@ def render_detail(
 ) -> RenderedDocument:
     stem = f"{safe_filename(report.workbook_name)}.findings"
     if format is Format.JSON:
-        return _finish(format, _detail_json(report), stem)
+        return _finish(format, _json_bytes(_detail_json(report)), stem)
 
     head = [
         ["Workbook Name", "Workbook Location", "Wks", "F'm", "Hard", "Num'c"],
@@ -170,7 +167,7 @@ def render_detail(
         for w in report.warnings:
             where = f" ({', '.join(w.locations)})" if w.locations else ""
             parts.append(f"- {w.kind.value} on sheet {w.sheet!r}: {w.count}{where}\n")
-    return _finish(format, "".join(parts), stem)
+    return _finish(format, "".join(parts).encode(), stem)
 
 
 # --- JSON -------------------------------------------------------------
@@ -181,6 +178,26 @@ def render_detail(
 # container, which on a desk-scale workbook cost more than loading and
 # analysing it.  Strings go through the C escaper that encoder uses, and
 # each object is a ``%`` template with its keys in document order.
+#
+# A document is a stream of text pieces, each encoded into one byte buffer
+# as it is made, so a render holds about one copy of the document: no list
+# of every finding, no joined string and no separate encoding of it.
+
+
+def _json_bytes(pieces: Iterable[str]) -> bytes:
+    out = io.BytesIO()
+    out.writelines(map(str.encode, pieces))
+    # the buffer itself, not a copy of it: nothing else holds a view of it
+    return out.getvalue()
+
+
+def _json_array(items: Iterable[str], closing_indent: str) -> Iterator[str]:
+    """A JSON array around items already written out, piece by piece."""
+    opening = "[\n"
+    for item in items:
+        yield opening + item
+        opening = ",\n"
+    yield "[]" if opening == "[\n" else "\n" + closing_indent + "]"
 
 
 # the opening of a finding object up to its sheet, once per kind
@@ -190,24 +207,13 @@ _FINDING_HEADS = {
 }
 
 
-def _detail_json(report: AnalysisReport) -> str:
+def _detail_json(report: AnalysisReport) -> Iterator[str]:
     q = encode_basestring
-    warnings = [
-        '  {\n   "kind": %s,\n   "sheet": %s,\n   "count": %d,\n   "locations": %s\n  }'
-        % (
-            q(w.kind.value),
-            q(w.sheet),
-            w.count,
-            _json_array(["    " + q(loc) for loc in w.locations], "   "),
-        )
-        for w in report.warnings
-    ]
-    return (
+    yield (
         '{\n "schema_version": %d,\n "kind": "detail",\n'
         ' "workbook": {\n  "name": %s,\n  "location": %s\n },\n'
         ' "counts": {\n  "worksheets": %d,\n  "formulas": %d,\n'
-        '  "hard_codings": %d,\n  "numeric_values": %d\n },\n'
-        ' "findings": %s,\n "warnings": %s\n}\n'
+        '  "hard_codings": %d,\n  "numeric_values": %d\n },\n "findings": '
         % (
             SCHEMA_VERSION,
             q(report.workbook_name),
@@ -216,51 +222,68 @@ def _detail_json(report: AnalysisReport) -> str:
             report.formula_count,
             report.hard_coding_count,
             report.numeric_value_count,
-            _json_array(_findings_json(report.findings), " "),
-            _json_array(warnings, " "),
         )
     )
+    yield from _json_array(_findings_json(report.findings), " ")
+    yield ',\n "warnings": '
+    yield from _json_array(
+        (
+            '  {\n   "kind": %s,\n   "sheet": %s,\n   "count": %d,\n   "locations": %s\n  }'
+            % (
+                q(w.kind.value),
+                q(w.sheet),
+                w.count,
+                "".join(_json_array(("    " + q(loc) for loc in w.locations), "   ")),
+            )
+            for w in report.warnings
+        ),
+        " ",
+    )
+    yield "\n}\n"
 
 
-def _findings_json(findings: tuple[Finding, ...]) -> list[str]:
-    """Each finding object, written out.
+def _findings_json(findings: tuple[Finding, ...]) -> Iterator[str]:
+    """Each finding object, written out in turn.
 
     Every cell classified from one formula text shares its constants
     tuple, so a finding's tail from "constants" on is written once per
     tuple and detail.  The key is the tuple's identity, not its value:
     equal tuples can render differently (1 and 1.0, 0.0 and -0.0), and
     the caller keeps every tuple alive, so no id is reused.  The memo
-    ends with this call, before the findings are joined into the document.
+    lives while the findings are written, and ends with them.
     """
     q = encode_basestring
     heads = _FINDING_HEADS
     tails: dict[tuple[int, str], str] = {}
-    items = []
     for kind, sheet, address, formula, value, constants, detail in findings:
-        text = heads[kind] + q(sheet) + ',\n   "cell": ' + q(address.render())
-        if formula is not None:
-            text += ',\n   "formula": ' + q(formula)
-        if value is not None:
-            text += ',\n   "value": ' + (q(value) if isinstance(value, str) else _json_number(value))
         key = (id(constants), detail)
         tail = tails.get(key)
         if tail is None:
             tail = tails[key] = _finding_tail(constants, detail)
-        items.append(text + tail)
-    return items
+        yield '%s%s,\n   "cell": %s%s%s%s' % (
+            heads[kind],
+            q(sheet),
+            q(address.render()),
+            "" if formula is None else ',\n   "formula": ' + q(formula),
+            ""
+            if value is None
+            else ',\n   "value": ' + (q(value) if isinstance(value, str) else _json_number(value)),
+            tail,
+        )
 
 
 def _finding_tail(constants: tuple[ConstantOccurrence, ...], detail: str) -> str:
     """A finding object from its "constants" member to its closing brace."""
     text = ""
     if constants:
-        text = ',\n   "constants": ' + _json_array(
+        # joined, not streamed through _json_array: a tail is written once per
+        # distinct constants tuple, nearly once per finding when texts differ
+        text = ',\n   "constants": [\n%s\n   ]' % ",\n".join(
             [
                 '    {\n     "value": %s,\n     "start": %d,\n     "end": %d\n    }'
                 % (_json_number(o.value), o.start, o.end)
                 for o in constants
-            ],
-            "   ",
+            ]
         )
     if detail:
         text += ',\n   "detail": ' + encode_basestring(detail)
@@ -282,23 +305,15 @@ def _json_number(value: float) -> str:
     return _JSON_SPELLINGS.get(text, text)
 
 
-def _json_array(items: list[str], closing_indent: str) -> str:
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + closing_indent + "]"
-
-
-def _rows_json(kind: str, items: list[str]) -> str:
-    """A summary or histogram document around its rows, already written out."""
-    return '{\n "schema_version": %d,\n "kind": "%s",\n "rows": %s\n}\n' % (
-        SCHEMA_VERSION,
-        kind,
-        _json_array(items, " "),
-    )
+def _rows_json(kind: str, items: Iterable[str]) -> Iterator[str]:
+    """A summary or histogram document around its rows, each written out."""
+    yield '{\n "schema_version": %d,\n "kind": "%s",\n "rows": ' % (SCHEMA_VERSION, kind)
+    yield from _json_array(items, " ")
+    yield "\n}\n"
 
 
 def report_to_document(report: AnalysisReport) -> dict:
-    return json.loads(_detail_json(report))
+    return json.loads(_json_bytes(_detail_json(report)))
 
 
 # --- batch summary ----------------------------------------------------
@@ -325,7 +340,7 @@ def render_batch_summary(rows: list[BatchSummaryRow], format: Format) -> Rendere
     stem = "summary"
     if format is Format.JSON:
         q = encode_basestring
-        items = [
+        items = (
             _SUMMARY_JSON_ROW
             % (
                 r.index,
@@ -338,8 +353,8 @@ def render_batch_summary(rows: list[BatchSummaryRow], format: Format) -> Rendere
                 "null" if r.error is None else q(r.error),
             )
             for r in rows
-        ]
-        return _finish(format, _rows_json("summary", items), stem)
+        )
+        return _finish(format, _json_bytes(_rows_json("summary", items)), stem)
 
     table = [list(_SUMMARY_HEADER)]
     for r in rows:
@@ -361,7 +376,7 @@ def render_batch_summary(rows: list[BatchSummaryRow], format: Format) -> Rendere
             )
     if format is Format.CSV:
         return _finish(format, _csv_body(table), stem)
-    return _finish(format, "Hard-coding audit summary\n" + _text_table(table), stem)
+    return _finish(format, ("Hard-coding audit summary\n" + _text_table(table)).encode(), stem)
 
 
 # --- constant histogram -----------------------------------------------
@@ -373,11 +388,11 @@ _HISTOGRAM_JSON_ROW = '  {\n   "value": %s,\n   "count": %d\n  }'
 def render_histogram(histogram: list[tuple[float, int]], format: Format) -> RenderedDocument:
     stem = "constants"
     if format is Format.JSON:
-        items = [_HISTOGRAM_JSON_ROW % (_json_number(v), count) for v, count in histogram]
-        return _finish(format, _rows_json("histogram", items), stem)
+        items = (_HISTOGRAM_JSON_ROW % (_json_number(v), count) for v, count in histogram)
+        return _finish(format, _json_bytes(_rows_json("histogram", items)), stem)
     table = [list(_HISTOGRAM_HEADER)]
     for value, count in histogram:
         table.append([format_number(value), str(count)])
     if format is Format.CSV:
         return _finish(format, _csv_body(table), stem)
-    return _finish(format, _text_table(table), stem)
+    return _finish(format, _text_table(table).encode(), stem)

@@ -39,6 +39,12 @@ _C, _F, _V, _IS, _T = ("{%s}%s" % (_NS["main"], tag) for tag in ("c", "f", "v", 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 _BOOLEANS = {"0": False, "1": True, "false": False, "true": True}
 
+# The most bytes one package member may inflate to.  A few kilobytes of
+# deflated data can inflate to gigabytes, so a member past this is an
+# error, not a read that exhausts memory; the parsed tree of a member
+# takes several times its size again.
+MAX_MEMBER_BYTES = 256 * 1024 * 1024
+
 
 class FormatError(ValueError):
     """The file is not a valid SpreadsheetML package."""
@@ -92,10 +98,14 @@ def load_xlsx(path: str | Path) -> Workbook:
 
 def _read_xml(archive: zipfile.ZipFile, member: str) -> ElementTree.Element:
     try:
-        data = archive.read(member)
+        # read to the cap and one byte past it: the size the package states can lie
+        with archive.open(member) as stream:
+            data = stream.read(MAX_MEMBER_BYTES + 1)
     # a bad CRC, a corrupt or truncated stream, an unknown compression, encryption
     except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError) as exc:
         raise FormatError(f"{member}: unreadable member ({str(exc) or 'truncated'})") from None
+    if len(data) > MAX_MEMBER_BYTES:
+        raise FormatError(f"{member}: inflates past {MAX_MEMBER_BYTES:,} bytes")
     try:
         return ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from sheetaudit import xlsx
 from sheetaudit.cli import RunOptions, build_config, main
 from sheetaudit.detect import DataRegion, DetectionConfig, DetectionMode
 from sheetaudit.model import parse_range
@@ -127,6 +128,24 @@ class TestExitCodes:
         assert errors["good.xlsx"] is None
         assert (tmp_path / "out" / "good.findings.json").exists()
 
+    def test_member_past_the_size_cap_is_an_error_row(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(xlsx, "MAX_MEMBER_BYTES", 4096)
+        rows = '<row r="1"><c r="A1"><f>B1/12</f><v>4</v></c></row>'
+        build_xlsx(tmp_path / "good.xlsx", [{"name": "S", "rows": rows}])
+        # about 16 KB of worksheet that deflates to a few hundred bytes
+        rows = "".join(f'<row r="{r}"><c r="A{r}"><v>1</v></c></row>' for r in range(1, 400))
+        build_xlsx(tmp_path / "big.xlsx", [{"name": "S", "rows": rows}])
+        code = main(
+            [str(tmp_path / "*.xlsx"), "--out", str(tmp_path / "out"), "--format", "json"]
+        )
+        assert code == 2
+        assert "big.xlsx" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        errors = {row["workbook_name"]: row["error"] for row in summary["rows"]}
+        assert "xl/worksheets/sheet1.xml: inflates past 4,096 bytes" in errors["big.xlsx"]
+        assert errors["good.xlsx"] is None
+        assert (tmp_path / "out" / "good.findings.json").exists()
+
     @pytest.mark.parametrize(
         "document",
         [
@@ -147,17 +166,32 @@ class TestExitCodes:
             pytest.param({"mode": 5}, id="mode-number"),
             pytest.param({"heuristic_operators": ""}, id="no-operators"),
             pytest.param({"data_regions": [{"sheet": "S", "range": "A1:XFE1"}]}, id="range-past-sheet"),
+            # flags, not a document, and the whole message: a whole sheet named
+            # "Q1!Data" is not guessed, and the message says how to name one
+            pytest.param(
+                (
+                    ["--data-region", "Q1!Data"],
+                    "error: config data_regions: --data-region 'Q1!Data': cannot parse range"
+                    " 'Data': cannot parse cell address 'Data'; a whole sheet whose name holds"
+                    ' \'!\' needs a config-file entry such as {"sheet": "Q1!Data"}\n',
+                ),
+                id="region-flag-sheet-with-bang",
+            ),
         ],
     )
     def test_mistyped_config_value_exits_two(self, tmp_path, capsys, document):
-        config = tmp_path / "conf.json"
-        config.write_text(document if isinstance(document, str) else json.dumps(document))
+        if isinstance(document, tuple):
+            args, message = document
+        else:
+            config = tmp_path / "conf.json"
+            config.write_text(document if isinstance(document, str) else json.dumps(document))
+            args, message = ["--config", str(config)], None
         write_clean(tmp_path / "ok.json")
-        code = main(
-            [str(tmp_path / "ok.json"), "--out", str(tmp_path / "out"), "--config", str(config)]
-        )
+        code = main([str(tmp_path / "ok.json"), "--out", str(tmp_path / "out"), *args])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: config ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ")
+        assert message is None or err == message
 
 
 def damage_member(path, member, damage):

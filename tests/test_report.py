@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -314,6 +315,35 @@ class TestDetail:
     def test_byte_identical_rendering(self, report):
         for fmt in Format:
             assert render_detail(report, fmt).body == render_detail(report, fmt).body
+
+    def test_json_render_holds_about_one_report(self):
+        # 20,000 findings whose constants tuples come from a pool of 50, as
+        # the classification memo shares one tuple among the cells of a text
+        pool = [
+            tuple(ConstantOccurrence(n + k / 4, 3 * k, 3 * k + 2) for k in range(n % 3 + 1))
+            for n in range(50)
+        ]
+        findings = tuple(
+            Finding(
+                FindingKind.HARD_CODED_CONSTANT,
+                f"Sheet{n % 7}",
+                CellAddress(n // 20 + 1, n % 20 + 1),
+                f"=A{n}*{n % 50}",
+                float(n),
+                pool[n % 50],
+                "" if n % 9 else "shared",
+            )
+            for n in range(20_000)
+        )
+        generated = AnalysisReport("w", "loc", 7, 20_000, 40_000, 0, findings=findings)
+        tracemalloc.start()
+        try:
+            body = render_detail(generated, Format.JSON).body
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert body.count(b'"kind": "hard_coded_constant"') == 20_000
+        assert peak <= 1.5 * len(body)
 
 
 class TestBatchSummary:
