@@ -17,7 +17,7 @@ from enum import Enum
 from fnmatch import fnmatchcase
 from typing import NamedTuple
 
-from .addresses import CellAddress
+from .addresses import R1C1, CellAddress
 from .lexer import (
     DEFAULT_OPERATOR_SET,
     LexError,
@@ -186,23 +186,18 @@ _STRUCTURAL_KINDS = frozenset(
 def analyze_cell(
     cell: Cell, sheet_name: str, config: DetectionConfig, ref_style: str = "A1"
 ) -> list[Finding]:
-    if cell.formula_text is not None:
-        classified = _classify_text(cell.formula_text, config, ref_style)
-        return _formula_findings(cell, sheet_name, classified)
-    value = cell.cached_value
+    address, formula, value = cell.address.absolute(), cell.formula_text, cell.cached_value
+    if formula is not None:
+        kind, constants, detail = _classify_text(formula, config, ref_style)
+        if kind is None:
+            return []
+        return [Finding(kind, sheet_name, address, formula, value, constants, detail)]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return []
-    row, col = cell.address.coords()
+    row, col = address.coords()
     in_region = any(r.contains(sheet_name, row, col) for r in config.data_regions)
     kind = FindingKind.EXPECTED_INPUT_VALUE if in_region else FindingKind.DIRECT_NUMERIC_ENTRY
-    return [
-        Finding(
-            kind=kind,
-            sheet=sheet_name,
-            address=cell.address.absolute(),
-            cached_value=value,
-        )
-    ]
+    return [Finding(kind, sheet_name, address, cached_value=value)]
 
 
 # (finding kind or None, surviving constants, detail) for one formula text
@@ -246,25 +241,6 @@ def _classify_text(formula: str, config: DetectionConfig, ref_style: str) -> Cla
     return kind, tuple(surviving), ""
 
 
-def _formula_findings(
-    cell: Cell, sheet_name: str, classified: Classification
-) -> list[Finding]:
-    kind, constants, detail = classified
-    if kind is None:
-        return []
-    return [
-        Finding(
-            kind=kind,
-            sheet=sheet_name,
-            address=cell.address.absolute(),
-            formula_text=cell.formula_text,
-            cached_value=cell.cached_value,
-            constants=constants,
-            detail=detail,
-        )
-    ]
-
-
 def analyze_workbook(workbook: Workbook, config: DetectionConfig) -> AnalysisReport:
     """Analyze every populated cell, classifying each distinct formula text once.
 
@@ -273,25 +249,37 @@ def analyze_workbook(workbook: Workbook, config: DetectionConfig) -> AnalysisRep
     reused for the rest of this call, where config and ref style are fixed.
     """
     findings: list[Finding] = []
-    formula_count = 0
+    formula_count = hard_coding_count = numeric_value_count = 0
     classified: dict[str, Classification] = {}
+    ref_style, regions, new = workbook.ref_style, config.data_regions, tuple.__new__
     for sheet in workbook.sheets:
-        for coords in sorted(sheet.cells):
-            cell = sheet.cells[coords]
-            formula = cell.formula_text
-            if formula is None:
-                findings.extend(analyze_cell(cell, sheet.name, config, workbook.ref_style))
+        name, cells = sheet.name, sheet.cells
+        # analyze_cell's findings, built inline: the only Python-level calls are one
+        # classification per distinct text and the region checks of numeric entries
+        for coords in sorted(cells):
+            address, formula, value = cells[coords]
+            row, column, col_absolute, row_absolute, style = address
+            if formula is not None:
+                formula_count += 1
+                result = classified.get(formula)
+                if result is None:
+                    result = classified[formula] = _classify_text(formula, config, ref_style)
+                kind, constants, detail = result
+                if kind is None:
+                    continue
+                hard_coding_count += len(constants)
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue
-            formula_count += 1
-            result = classified.get(formula)
-            if result is None:
-                result = classified[formula] = _classify_text(
-                    formula, config, workbook.ref_style
-                )
-            findings.extend(_formula_findings(cell, sheet.name, result))
-    # only constant-bearing findings carry constants, and only numeric entries lack a formula
-    hard_coding_count = sum(len(f.constants) for f in findings)
-    numeric_value_count = sum(1 for f in findings if f.formula_text is None)
+            else:
+                numeric_value_count += 1
+                if any(r.contains(name, row, column) for r in regions):
+                    kind = FindingKind.EXPECTED_INPUT_VALUE
+                else:
+                    kind = FindingKind.DIRECT_NUMERIC_ENTRY
+                constants, detail = (), ""
+            if style != R1C1 and not (col_absolute and row_absolute):
+                address = new(CellAddress, (row, column, True, True, style))
+            findings.append(new(Finding, (kind, name, address, formula, value, constants, detail)))
     return AnalysisReport(
         workbook_name=workbook.name,
         workbook_location=workbook.source_path,

@@ -78,7 +78,8 @@ class _CellFields(NamedTuple):
 
 
 class Cell(_CellFields):
-    """A formula's text starts with ``=``; ``_replace``/``_make`` skip ``__new__``'s checks."""
+    """A formula's text starts with ``=``; ``tuple.__new__(Cell, …)``, ``_replace`` and
+    ``_make`` skip ``__new__``'s checks."""
 
     __slots__ = ()
 
@@ -211,6 +212,7 @@ def _sheet_from_document(raw: object, location: str, parse: Callable[[str], Cell
         raise SchemaError(f"{location}/visibility", f"unknown visibility {vis_raw!r}") from None
 
     cells: dict[tuple[int, int], Cell] = {}
+    new = tuple.__new__
     raw_cells = raw.get("cells", {})
     if not isinstance(raw_cells, dict):
         raise SchemaError(f"{location}/cells", "must be an object")
@@ -225,24 +227,30 @@ def _sheet_from_document(raw: object, location: str, parse: Callable[[str], Cell
             _require_keys(raw_cell, _CELL_KEYS, f"{location}/cells/{key}")
         formula = raw_cell.get("f")
         value = raw_cell.get("v")
-        if formula is not None and not isinstance(formula, str):
-            raise SchemaError(f"{location}/cells/{key}/f", "formula must be a string")
-        if value is not None and not isinstance(value, (int, float, str, bool)):
-            raise SchemaError(f"{location}/cells/{key}/v", "value must be a scalar")
-        if isinstance(value, (int, float)) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-            # json reads NaN, Infinity and 1e999; like an XLSX <v>, a cell holds a finite number
-            raise SchemaError(f"{location}/cells/{key}/v", "value must be a finite number")
-        coords = address.coords()
+        if formula is not None:
+            if not isinstance(formula, str):
+                raise SchemaError(f"{location}/cells/{key}/f", "formula must be a string")
+            if not formula.startswith("="):
+                formula = "=" + formula
+        if value is not None:
+            if not isinstance(value, (int, float, str, bool)):
+                raise SchemaError(f"{location}/cells/{key}/v", "value must be a scalar")
+            if isinstance(value, (int, float)) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                # json reads NaN, Infinity and 1e999; like an XLSX <v>, a cell holds a finite number
+                raise SchemaError(f"{location}/cells/{key}/v", "value must be a finite number")
+        coords = address[:2]  # (row, column), without a method call
         if coords in cells:
             # the keys before this one all parsed; the first with these coords filled them
             first = next(k for k in raw_cells if parse(k).coords() == coords)
             raise SchemaError(
                 f"{location}/cells/{key}", f"keys {first!r} and {key!r} name the same cell"
             )
-        try:
-            cells[coords] = Cell(address, formula, value)
-        except ValueError as exc:
-            raise SchemaError(f"{location}/cells/{key}", str(exc)) from None
+        if formula is None and value is None:
+            raise SchemaError(
+                f"{location}/cells/{key}", f"cell {address.render()} has neither formula nor value"
+            )
+        # checked above as Cell.__new__ would, so no Python-level call per cell
+        cells[coords] = new(Cell, (address, formula, value))
 
     raw_merged = raw.get("merged", [])
     if not isinstance(raw_merged, list):

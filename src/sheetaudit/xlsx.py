@@ -108,7 +108,8 @@ def _read_xml(archive: zipfile.ZipFile, member: str) -> ElementTree.Element:
         raise FormatError(f"{member}: inflates past {MAX_MEMBER_BYTES:,} bytes")
     try:
         return ElementTree.fromstring(data)
-    except ElementTree.ParseError as exc:
+    # an XML declaration naming an unknown or a multi-byte encoding raises LookupError or ValueError
+    except (ElementTree.ParseError, LookupError, ValueError) as exc:
         raise FormatError(f"{member}: malformed XML ({exc})") from None
 
 
@@ -180,7 +181,8 @@ def _read_sheet(
             if coords in cells:
                 earlier = cells[coords].address.render()
                 raise FormatError(f"sheet {name!r}: cells {earlier!r} and {ref!r} are the same cell")
-            cells[coords] = Cell(address=address, formula_text=formula, cached_value=value)
+            # content is present and a formula carries its "=", so skip Cell.__new__'s checks
+            cells[coords] = tuple.__new__(Cell, (address, formula, value))
 
     # only a merge's anchor keeps its content; a merge walks the populated cells of its rows
     anchors = {r.top_left.coords() for r in merged}

@@ -146,6 +146,36 @@ class TestExitCodes:
         assert errors["good.xlsx"] is None
         assert (tmp_path / "out" / "good.findings.json").exists()
 
+    def test_worksheet_declaring_an_unreadable_encoding_is_an_error_row(self, tmp_path, capsys):
+        rows = '<row r="1"><c r="A1"><f>B1/12</f><v>4</v></c></row>'
+        build_xlsx(tmp_path / "good.xlsx", [{"name": "S", "rows": rows}])
+        flags = ["--format", "json", "--format", "csv"]
+        assert main([str(tmp_path / "good.xlsx"), "--out", str(tmp_path / "alone"), *flags]) == 1
+        member = "xl/worksheets/sheet1.xml"
+        # the XML parser raises LookupError for an unknown encoding, ValueError for a multi-byte one
+        encodings = ["bogus", "shift_jis", "UTF-32"]
+        for encoding in encodings:
+            path = build_xlsx(tmp_path / f"{encoding}.xlsx", [{"name": "S", "rows": rows}])
+            with zipfile.ZipFile(path) as src:
+                members = {info.filename: src.read(info) for info in src.infolist()}
+            declared = f'encoding="{encoding}"'.encode()
+            members[member] = members[member].replace(b'encoding="UTF-8"', declared, 1)
+            with zipfile.ZipFile(path, "w") as dst:
+                for name, body in members.items():
+                    dst.writestr(name, body)
+        code = main([str(tmp_path / "*.xlsx"), "--out", str(tmp_path / "out"), *flags])
+        assert code == 2
+        assert "bogus.xlsx" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        errors = {row["workbook_name"]: row["error"] for row in summary["rows"]}
+        assert len(errors) == len(encodings) + 1
+        for encoding in encodings:
+            assert f"{member}: malformed XML (" in errors[f"{encoding}.xlsx"]
+        assert errors["good.xlsx"] is None
+        for report in ("good.findings.csv", "good.findings.json"):
+            alone = (tmp_path / "alone" / report).read_bytes()
+            assert (tmp_path / "out" / report).read_bytes() == alone
+
     @pytest.mark.parametrize(
         "document",
         [

@@ -315,6 +315,14 @@ class TestInvariants:
 
 # texts the lexer rejects, in both reference styles
 UNPARSEABLE_TEXTS = ['=A1&"unterminated', "=#BOGUS+1", "=2~3", "='Open sheet+4"]
+# (col_absolute, row_absolute, style) of a cell's own address
+ADDRESS_FLAVOURS = [
+    (False, False, "A1"),
+    (True, False, "A1"),
+    (False, True, "A1"),
+    (True, True, "A1"),
+    (False, False, "R1C1"),
+]
 
 
 @st.composite
@@ -332,10 +340,14 @@ def repeated_text_workbooks(draw):
     chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=30, unique=True))
     cells: list[dict] = [{} for _ in range(sheet_count)]
     for s, row, col in chosen:
+        # every branch of a finding's absolute address: R1C1, A1 with no, one or both "$"
+        col_absolute, row_absolute, style = draw(st.sampled_from(ADDRESS_FLAVOURS))
+        address = CellAddress(row, col, col_absolute, row_absolute, style)
         if draw(st.booleans()):
-            cells[s][(row, col)] = make_cell(row, col, formula=draw(st.sampled_from(texts)))
+            cells[s][(row, col)] = Cell(address, formula_text=draw(st.sampled_from(texts)))
         else:
-            cells[s][(row, col)] = make_cell(row, col, value=draw(st.sampled_from([0, 1, 2.5, "x"])))
+            value = draw(st.sampled_from([0, 1, 2.5, "x"]))
+            cells[s][(row, col)] = Cell(address, cached_value=value)
     workbook = Workbook(
         name="repeat",
         sheets=tuple(Sheet(name=f"S{s}", cells=cells[s]) for s in range(sheet_count)),

@@ -194,9 +194,26 @@ class TestJsonInterchange:
             workbook_from_document(doc)
 
     def test_cell_without_content_rejected(self):
-        doc = {"name": "x", "sheets": [{"name": "s", "cells": {"A1": {}}}]}
-        with pytest.raises(SchemaError):
-            workbook_from_document(doc)
+        # every check on one JSON cell, with the location and message it reports
+        table = [
+            ({}, "/sheets/0/cells/A1: cell A1 has neither formula nor value"),
+            ({"f": None, "v": None}, "/sheets/0/cells/A1: cell A1 has neither formula nor value"),
+            ({"f": 3}, "/sheets/0/cells/A1/f: formula must be a string"),
+            ({"v": [1]}, "/sheets/0/cells/A1/v: value must be a scalar"),
+            ({"v": 1e999}, "/sheets/0/cells/A1/v: value must be a finite number"),
+            ({"f": "=A1", "x": 1}, "/sheets/0/cells/A1: unknown key 'x'"),
+            ("A", "/sheets/0/cells/A1: cell must be an object"),
+        ]
+        for cell, message in table:
+            doc = {"name": "x", "sheets": [{"name": "s", "cells": {"A1": cell}}]}
+            with pytest.raises(SchemaError) as info:
+                workbook_from_document(doc)
+            assert str(info.value) == message, cell
+
+    def test_formula_without_equals_gets_one(self):
+        doc = {"name": "x", "sheets": [{"name": "s", "cells": {"A1": {"f": "A1*2"}}}]}
+        cell = workbook_from_document(doc).sheets[0].cells[(1, 1)]
+        assert cell.formula_text == "=A1*2"
 
 
 class TestModelInvariants:
