@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 A1 = "A1"
 R1C1 = "R1C1"
@@ -99,3 +99,11 @@ def parse_address(text: str) -> CellAddress:
         return CellAddress(int(r1c1_row), int(r1c1_column), False, False, R1C1)
     column = _letters_to_column(letters.upper())
     return CellAddress(int(row), column, col_dollar == "$", row_dollar == "$")
+
+
+AddressMemo = Callable[[str], tuple[CellAddress, tuple[int, int]]]
+
+
+def address_memo() -> AddressMemo:
+    """Parses each cell key once, to an address and a ``(row, column)`` for sheets to share."""
+    return functools.cache(lambda text: (address := parse_address(text), address[:2]))

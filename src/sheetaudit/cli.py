@@ -126,6 +126,22 @@ def _expand_inputs(patterns: list[str], err) -> list[Path]:
     return workbooks
 
 
+def _report_stems(paths: list[Path]) -> list[str]:
+    """Each input's detail-report stem: its own, or if an earlier input has it (in any case,
+    as a case-insensitive file system compares), ``<stem>-<n>`` for the least free n >= 2."""
+    inputs = {path.stem.casefold() for path in paths}
+    used: set[str] = set()
+    stems = []
+    for path in paths:
+        stem, n = path.stem, 1
+        while stem.casefold() in used or (n > 1 and stem.casefold() in inputs):
+            n += 1
+            stem = f"{path.stem}-{n}"
+        used.add(stem.casefold())
+        stems.append(stem)
+    return stems
+
+
 def _load_workbook(path: Path):
     if path.suffix.lower() == ".json":
         return load_json(path)
@@ -153,7 +169,7 @@ def run(options: RunOptions, err=None) -> int:
     rows: list[BatchSummaryRow] = []
     reports: list[AnalysisReport] = []
     load_failed = False
-    for index, path in enumerate(paths, start=1):
+    for index, (path, stem) in enumerate(zip(paths, _report_stems(paths)), start=1):
         try:
             workbook = _load_workbook(path)
             if options.ref_style is not None:
@@ -180,7 +196,7 @@ def run(options: RunOptions, err=None) -> int:
         for fmt in options.formats:
             doc = render_detail(report, fmt)
             ext = doc.suggested_filename.rsplit(".", 1)[-1]
-            _write(options.output_dir / f"{path.stem}.findings.{ext}", doc.body)
+            _write(options.output_dir / f"{stem}.findings.{ext}", doc.body)
 
     histogram = constant_histogram(reports)
     for fmt in options.formats:

@@ -17,7 +17,7 @@ from enum import Enum
 from fnmatch import fnmatchcase
 from typing import NamedTuple
 
-from .addresses import R1C1, CellAddress
+from .addresses import CellAddress
 from .lexer import (
     DEFAULT_OPERATOR_SET,
     LexError,
@@ -246,19 +246,22 @@ def analyze_workbook(workbook: Workbook, config: DetectionConfig) -> AnalysisRep
 
     Copied-down formulas repeat the same text across rows and sheets;
     the classification of a text is computed on its first cell and
-    reused for the rest of this call, where config and ref style are fixed.
+    reused for the rest of this call, where config and ref style are
+    fixed.  Likewise each source address object (the loaders share one
+    per cell key) gets one absolute address, memoized on its ``id``:
+    the workbook keeps every source address alive for the call, so no
+    id is reused.
     """
     findings: list[Finding] = []
     formula_count = hard_coding_count = numeric_value_count = 0
     classified: dict[str, Classification] = {}
+    absolutes: dict[int, CellAddress] = {}
     ref_style, regions, new = workbook.ref_style, config.data_regions, tuple.__new__
     for sheet in workbook.sheets:
         name, cells = sheet.name, sheet.cells
-        # analyze_cell's findings, built inline: the only Python-level calls are one
-        # classification per distinct text and the region checks of numeric entries
-        for coords in sorted(cells):
-            address, formula, value = cells[coords]
-            row, column, col_absolute, row_absolute, style = address
+        # analyze_cell's findings, built inline: the only Python-level calls are one classification
+        # per distinct text, one absolute() per address object and numeric entries' region checks
+        for _, (address, formula, value) in sorted(cells.items()):
             if formula is not None:
                 formula_count += 1
                 result = classified.get(formula)
@@ -272,14 +275,16 @@ def analyze_workbook(workbook: Workbook, config: DetectionConfig) -> AnalysisRep
                 continue
             else:
                 numeric_value_count += 1
+                row, column = address.row, address.column
                 if any(r.contains(name, row, column) for r in regions):
                     kind = FindingKind.EXPECTED_INPUT_VALUE
                 else:
                     kind = FindingKind.DIRECT_NUMERIC_ENTRY
                 constants, detail = (), ""
-            if style != R1C1 and not (col_absolute and row_absolute):
-                address = new(CellAddress, (row, column, True, True, style))
-            findings.append(new(Finding, (kind, name, address, formula, value, constants, detail)))
+            absolute = absolutes.get(id(address))
+            if absolute is None:
+                absolute = absolutes[id(address)] = address.absolute()
+            findings.append(new(Finding, (kind, name, absolute, formula, value, constants, detail)))
     return AnalysisReport(
         workbook_name=workbook.name,
         workbook_location=workbook.source_path,

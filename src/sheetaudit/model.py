@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .addresses import (
     A1,
@@ -16,7 +15,9 @@ from .addresses import (
     MAX_ROWS,
     R1C1,
     AddressError,
+    AddressMemo,
     CellAddress,
+    address_memo,
     column_to_letters,
     parse_address,
 )
@@ -175,6 +176,11 @@ def _require_keys(obj: dict, allowed: set[str], location: str) -> None:
 
 
 def workbook_from_document(doc: object, source_path: str = "") -> Workbook:
+    """The workbook a JSON interchange document describes.
+
+    Each cell key is parsed once: every sheet that uses it shares one
+    ``CellAddress`` and one ``(row, column)`` cells-dict key for it.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("", "document must be an object")
     _require_keys(doc, _WORKBOOK_KEYS, "")
@@ -187,8 +193,7 @@ def workbook_from_document(doc: object, source_path: str = "") -> Workbook:
     raw_sheets = doc.get("sheets", [])
     if not isinstance(raw_sheets, list):
         raise SchemaError("/sheets", "must be an array")
-    # one address per distinct cell key, shared by every sheet that uses it
-    parse = functools.cache(parse_address)
+    parse = address_memo()
     sheets = tuple(
         _sheet_from_document(raw, f"/sheets/{i}", parse) for i, raw in enumerate(raw_sheets)
     )
@@ -198,7 +203,7 @@ def workbook_from_document(doc: object, source_path: str = "") -> Workbook:
         raise SchemaError("/sheets", str(exc)) from None
 
 
-def _sheet_from_document(raw: object, location: str, parse: Callable[[str], CellAddress]) -> Sheet:
+def _sheet_from_document(raw: object, location: str, parse: AddressMemo) -> Sheet:
     if not isinstance(raw, dict):
         raise SchemaError(location, "sheet must be an object")
     _require_keys(raw, _SHEET_KEYS, location)
@@ -218,7 +223,7 @@ def _sheet_from_document(raw: object, location: str, parse: Callable[[str], Cell
         raise SchemaError(f"{location}/cells", "must be an object")
     for key, raw_cell in raw_cells.items():
         try:
-            address = parse(key)
+            address, coords = parse(key)
         except AddressError as exc:
             raise SchemaError(f"{location}/cells/{key}", str(exc)) from None
         if not isinstance(raw_cell, dict):
@@ -238,10 +243,9 @@ def _sheet_from_document(raw: object, location: str, parse: Callable[[str], Cell
             if isinstance(value, (int, float)) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                 # json reads NaN, Infinity and 1e999; like an XLSX <v>, a cell holds a finite number
                 raise SchemaError(f"{location}/cells/{key}/v", "value must be a finite number")
-        coords = address[:2]  # (row, column), without a method call
         if coords in cells:
             # the keys before this one all parsed; the first with these coords filled them
-            first = next(k for k in raw_cells if parse(k).coords() == coords)
+            first = next(k for k in raw_cells if parse(k)[1] == coords)
             raise SchemaError(
                 f"{location}/cells/{key}", f"keys {first!r} and {key!r} name the same cell"
             )

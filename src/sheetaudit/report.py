@@ -93,16 +93,13 @@ def _finish(fmt: Format, body: bytes, stem: str) -> RenderedDocument:
     return RenderedDocument(format=fmt, body=body, suggested_filename=f"{stem}.{_EXTENSIONS[fmt]}")
 
 
-def _text_table(rows: list[list[str]]) -> str:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        cells = [cell.ljust(width) for cell, width in zip(row, widths)]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines) + "\n"
+def _text_table(rows: list[tuple[str, ...]]) -> str:
+    """Left-aligned columns two spaces apart, each as wide as its widest cell."""
+    template = "  ".join("%%-%ds" % max(map(len, column)) for column in zip(*rows))
+    return "".join((template % row).rstrip() + "\n" for row in rows)
 
 
-def _csv_body(rows: list[list[str]]) -> bytes:
+def _csv_body(rows: list[tuple[str, ...]]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -111,7 +108,7 @@ def _csv_body(rows: list[list[str]]) -> bytes:
 
 # --- per-workbook detail ----------------------------------------------
 
-_DETAIL_HEADER = ["No.", "Worksheet", "Cell", "Cell Formula", "Cell Value", "Constants", "Detail"]
+_DETAIL_HEADER = ("No.", "Worksheet", "Cell", "Cell Formula", "Cell Value", "Constants", "Detail")
 
 
 def render_detail(
@@ -121,16 +118,11 @@ def render_detail(
     if format is Format.JSON:
         return _finish(format, _json_bytes(_detail_json(report)), stem)
 
+    r = report
+    counts = (r.worksheet_count, r.formula_count, r.hard_coding_count, r.numeric_value_count)
     head = [
-        ["Workbook Name", "Workbook Location", "Wks", "F'm", "Hard", "Num'c"],
-        [
-            report.workbook_name,
-            report.workbook_location,
-            str(report.worksheet_count),
-            str(report.formula_count),
-            str(report.hard_coding_count),
-            str(report.numeric_value_count),
-        ],
+        ("Workbook Name", "Workbook Location", "Wks", "F'm", "Hard", "Num'c"),
+        (r.workbook_name, r.workbook_location, *map(str, counts)),
     ]
     body_rows = []
     for number, finding in enumerate(report.findings, start=1):
@@ -140,7 +132,7 @@ def render_detail(
                 f"(+{len(finding.constants) - max_constant_columns} more)"
             ]
         body_rows.append(
-            [
+            (
                 str(number),
                 finding.sheet,
                 finding.address.render(),
@@ -148,18 +140,18 @@ def render_detail(
                 render_scalar(finding.cached_value),
                 " ".join(constants),
                 finding.detail,
-            ]
+            )
         )
 
     if format is Format.CSV:
-        rows = [r + [""] for r in head]
+        rows = [row + ("",) for row in head]
         rows.append(_DETAIL_HEADER)
         rows.extend(body_rows)
         return _finish(format, _csv_body(rows), stem)
 
     parts = ["Hard-coding audit of workbook\n", _text_table(head), "\n"]
     if body_rows:
-        parts.append(_text_table([_DETAIL_HEADER] + body_rows))
+        parts.append(_text_table([_DETAIL_HEADER, *body_rows]))
     else:
         parts.append("(no findings)\n")
     if report.warnings:
@@ -247,23 +239,29 @@ def _findings_json(findings: tuple[Finding, ...]) -> Iterator[str]:
 
     Every cell classified from one formula text shares its constants
     tuple, so a finding's tail from "constants" on is written once per
-    tuple and detail.  The key is the tuple's identity, not its value:
-    equal tuples can render differently (1 and 1.0, 0.0 and -0.0), and
-    the caller keeps every tuple alive, so no id is reused.  The memo
-    lives while the findings are written, and ends with them.
+    tuple and detail.  Likewise the findings of one cell key share an
+    address (see ``analyze_workbook``), so its quoted text is written
+    once per address.  The keys are identities, not values: equal
+    tuples can render differently (1 and 1.0, 0.0 and -0.0), and the
+    caller keeps every tuple and address alive, so no id is reused.  The
+    memos live while the findings are written, and end with them.
     """
     q = encode_basestring
     heads = _FINDING_HEADS
     tails: dict[tuple[int, str], str] = {}
+    cells: dict[int, str] = {}
     for kind, sheet, address, formula, value, constants, detail in findings:
         key = (id(constants), detail)
         tail = tails.get(key)
         if tail is None:
             tail = tails[key] = _finding_tail(constants, detail)
+        cell = cells.get(id(address))
+        if cell is None:
+            cell = cells[id(address)] = q(address.render())
         yield '%s%s,\n   "cell": %s%s%s%s' % (
             heads[kind],
             q(sheet),
-            q(address.render()),
+            cell,
             "" if formula is None else ',\n   "formula": ' + q(formula),
             ""
             if value is None
@@ -318,7 +316,7 @@ def report_to_document(report: AnalysisReport) -> dict:
 
 # --- batch summary ----------------------------------------------------
 
-_SUMMARY_HEADER = [
+_SUMMARY_HEADER = (
     "",
     "Workbook Name",
     "Workbook Location",
@@ -326,7 +324,7 @@ _SUMMARY_HEADER = [
     "# formulas",
     "# hard codings",
     "# numeric values",
-]
+)
 _SUMMARY_JSON_ROW = (
     '  {\n   "index": %d,\n   "workbook_name": %s,\n   "workbook_location": %s,\n'
     '   "worksheet_count": %d,\n   "formula_count": %d,\n   "hard_coding_count": %d,\n'
@@ -356,24 +354,11 @@ def render_batch_summary(rows: list[BatchSummaryRow], format: Format) -> Rendere
         )
         return _finish(format, _json_bytes(_rows_json("summary", items)), stem)
 
-    table = [list(_SUMMARY_HEADER)]
+    table = [_SUMMARY_HEADER]
     for r in rows:
-        if r.error is not None:
-            table.append(
-                [f"#{r.index}", r.workbook_name, r.workbook_location, f"ERROR: {r.error}", "", "", ""]
-            )
-        else:
-            table.append(
-                [
-                    f"#{r.index}",
-                    r.workbook_name,
-                    r.workbook_location,
-                    str(r.worksheet_count),
-                    str(r.formula_count),
-                    str(r.hard_coding_count),
-                    str(r.numeric_value_count),
-                ]
-            )
+        counts = (r.worksheet_count, r.formula_count, r.hard_coding_count, r.numeric_value_count)
+        tail = (f"ERROR: {r.error}", "", "", "") if r.error is not None else map(str, counts)
+        table.append((f"#{r.index}", r.workbook_name, r.workbook_location, *tail))
     if format is Format.CSV:
         return _finish(format, _csv_body(table), stem)
     return _finish(format, ("Hard-coding audit summary\n" + _text_table(table)).encode(), stem)
@@ -381,7 +366,7 @@ def render_batch_summary(rows: list[BatchSummaryRow], format: Format) -> Rendere
 
 # --- constant histogram -----------------------------------------------
 
-_HISTOGRAM_HEADER = ["Constant Value", "Number of Occurrences"]
+_HISTOGRAM_HEADER = ("Constant Value", "Number of Occurrences")
 _HISTOGRAM_JSON_ROW = '  {\n   "value": %s,\n   "count": %d\n  }'
 
 
@@ -390,9 +375,7 @@ def render_histogram(histogram: list[tuple[float, int]], format: Format) -> Rend
     if format is Format.JSON:
         items = (_HISTOGRAM_JSON_ROW % (_json_number(v), count) for v, count in histogram)
         return _finish(format, _json_bytes(_rows_json("histogram", items)), stem)
-    table = [list(_HISTOGRAM_HEADER)]
-    for value, count in histogram:
-        table.append([format_number(value), str(count)])
+    table = [_HISTOGRAM_HEADER, *((format_number(v), str(count)) for v, count in histogram)]
     if format is Format.CSV:
         return _finish(format, _csv_body(table), stem)
     return _finish(format, _text_table(table).encode(), stem)

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from pathlib import Path
 from xml.etree import ElementTree
 
-from .addresses import A1, MAX_COLUMNS, MAX_ROWS, R1C1, AddressError, parse_address
+from .addresses import A1, MAX_COLUMNS, MAX_ROWS, R1C1, AddressError, AddressMemo, address_memo
 from .model import Cell, Rectangle, Scalar, Sheet, SheetVisibility, Workbook, parse_range
 
 _NS = {
@@ -72,6 +72,7 @@ def load_xlsx(path: str | Path) -> Workbook:
             ref_style = R1C1
 
         sheets = []
+        parse = address_memo()  # one address and coords per distinct reference, as in model
         sheet_elems = workbook_xml.findall("main:sheets/main:sheet", _NS)
         if not sheet_elems:
             raise FormatError(f"{path}: workbook part declares no sheets")
@@ -86,7 +87,7 @@ def load_xlsx(path: str | Path) -> Workbook:
                 sheet_xml = _read_xml(archive, target)
             except KeyError:
                 raise FormatError(f"{path}: sheet {name!r}: missing part {target}") from None
-            sheets.append(_read_sheet(sheet_xml, name, visibility, shared))
+            sheets.append(_read_sheet(sheet_xml, name, visibility, shared, parse))
 
     try:
         return Workbook(
@@ -142,6 +143,7 @@ def _read_sheet(
     name: str,
     visibility: SheetVisibility,
     shared: list[str],
+    parse: AddressMemo,
 ) -> Sheet:
     merged: list[Rectangle] = []
     for mc in root.findall("main:mergeCells/main:mergeCell", _NS):
@@ -171,13 +173,12 @@ def _read_sheet(
             if not ref:
                 continue
             try:
-                address = parse_address(ref)
+                address, coords = parse(ref)
             except AddressError:
                 raise FormatError(f"sheet {name!r}: bad cell reference {ref!r}") from None
             formula, value = _read_cell_content(c, shared, shared_formulas, name)
             if formula is None and value is None:
                 continue
-            coords = address.coords()
             if coords in cells:
                 earlier = cells[coords].address.render()
                 raise FormatError(f"sheet {name!r}: cells {earlier!r} and {ref!r} are the same cell")

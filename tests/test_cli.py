@@ -430,6 +430,35 @@ class TestOutputs:
         body = (tmp_path / "out" / "book.findings.txt").read_text()
         assert "=B1/12" in body
 
+    def test_inputs_sharing_a_stem_get_one_report_each(self, tmp_path):
+        inputs = [tmp_path / "a" / "wb.json", tmp_path / "b" / "wb.json"]
+        for path in inputs:
+            path.parent.mkdir()
+            write_fixture(path)
+        rows = '<row r="1"><c r="A1"><f>B1/12</f><v>4</v></c></row>'
+        inputs.append(build_xlsx(tmp_path / "wb.xlsx", [{"name": "S", "rows": rows}]))
+        out = tmp_path / "out"
+        code = main([*map(str, inputs), "--out", str(out), "--format", "json", "--format", "csv"])
+        assert code == 1
+        locations = {}
+        for name in ("wb", "wb-2", "wb-3"):
+            doc = json.loads((out / f"{name}.findings.json").read_text())
+            locations[name] = doc["workbook"]["location"]
+            assert locations[name] in (out / f"{name}.findings.csv").read_text()
+        assert locations == dict(zip(("wb", "wb-2", "wb-3"), map(str, inputs)))
+        assert len(list(out.glob("*.findings.*"))) == 6
+
+    def test_repeated_stems_compare_case_insensitively_and_skip_input_stems(self, tmp_path):
+        inputs = [tmp_path / d / name for d, name in zip("abc", ["wb.json", "WB.json", "wb-2.json"])]
+        for path in inputs:
+            path.parent.mkdir()
+            write_fixture(path)
+        out = tmp_path / "out"
+        main([*map(str, inputs), "--out", str(out), "--format", "json"])
+        for name, path in zip(("wb", "WB-3", "wb-2"), inputs):
+            doc = json.loads((out / f"{name}.findings.json").read_text())
+            assert doc["workbook"]["location"] == str(path)
+
 
 # names every DetectionConfig field, each set away from its default
 FULL_CONFIG = {

@@ -215,6 +215,16 @@ class TestJsonInterchange:
         cell = workbook_from_document(doc).sheets[0].cells[(1, 1)]
         assert cell.formula_text == "=A1*2"
 
+    def test_sheets_share_one_address_and_coords_per_key(self):
+        keys = ["A1", "$B$2", "c$3", "R4C4", "XFD1048576"]
+        sheets = [{"name": f"S{i}", "cells": {k: {"f": "=1+2"} for k in keys}} for i in range(3)]
+        workbook = workbook_from_document({"name": "x", "sheets": sheets})
+        addresses = {id(c.address) for s in workbook.sheets for c in s.cells.values()}
+        coords = {id(key) for s in workbook.sheets for key in s.cells}
+        assert len(addresses) == len(coords) == len(keys)
+        for sheet in workbook.sheets:
+            assert all(key == cell.address.coords() for key, cell in sheet.cells.items())
+
 
 class TestModelInvariants:
     def test_cell_needs_formula_or_value(self):

@@ -17,10 +17,11 @@ from sheetaudit.detect import (
     DetectionConfig,
     Finding,
     FindingKind,
+    analyze_cell,
     analyze_workbook,
     constant_histogram,
 )
-from sheetaudit.model import AuditWarning, WarningKind, workbook_from_document
+from sheetaudit.model import AuditWarning, WarningKind, parse_range, workbook_from_document
 from sheetaudit.report import (
     BatchSummaryRow,
     EmptyBatch,
@@ -311,6 +312,44 @@ class TestDetail:
         parsed = json.loads(render_detail(generated, Format.JSON).body)
         got = [[o["value"] for o in f.get("constants", [])] for f in parsed["findings"]]
         assert repr(got) == repr([[o.value for o in f.constants] for f in generated.findings])
+
+    @pytest.mark.parametrize("ref_style", [A1, R1C1])
+    def test_shared_addresses_render_as_fresh_ones(self, ref_style):
+        # the loader shares one address per key among sheets, so the analysis and
+        # render memos keyed on an address's id hit; fresh equal addresses miss them
+        keys = [["A1", "$B$2", "c$3", "$D4", "R5C5"], ["R1C1", "B2", "$C$3", "D$4", "e5"]]
+        cells = [
+            {"f": "=A9*12"}, {"f": "=A9*12", "v": 4}, {"v": 2.5}, {"v": "x"}, {"f": "=7"}
+        ]
+        sheets = [
+            {"name": name, "cells": dict(zip(keys[i % 2], cells[i:] + cells[:i]))}
+            for i, name in enumerate(["Data", "Calc", "Copy", "Data2"])
+        ]
+        shared = workbook_from_document({"name": "w", "ref_style": ref_style, "sheets": sheets})
+        fresh_sheets = []
+        for sheet in shared.sheets:
+            cells = {}
+            for cell in sheet.cells.values():
+                address = CellAddress(*cell.address)
+                cells[(address.row, address.column)] = cell._replace(address=address)
+            fresh_sheets.append(dataclasses.replace(sheet, cells=cells))
+        fresh = dataclasses.replace(shared, sheets=tuple(fresh_sheets))
+        config = DetectionConfig(data_regions=(DataRegion("Data", parse_range("A1:C3")),))
+        reports = [analyze_workbook(workbook, config) for workbook in (shared, fresh)]
+        per_cell = [
+            finding
+            for sheet in shared.sheets
+            for coords in sorted(sheet.cells)
+            for finding in analyze_cell(sheet.cells[coords], sheet.name, config, ref_style)
+        ]
+        assert list(reports[0].findings) == list(reports[1].findings) == per_cell
+        # ten distinct keys, so at most ten absolute addresses among the shared findings
+        assert len({id(f.address) for f in reports[0].findings}) <= 10 < len(per_cell)
+        assert len({id(f.address) for f in reports[1].findings}) == len(per_cell)
+        for fmt in Format:
+            assert render_detail(reports[0], fmt).body == render_detail(reports[1], fmt).body
+        rendered = json.loads(render_detail(reports[0], Format.JSON).body)["findings"]
+        assert [f["cell"] for f in rendered] == [f.address.render() for f in per_cell]
 
     def test_byte_identical_rendering(self, report):
         for fmt in Format:

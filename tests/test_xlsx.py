@@ -128,6 +128,18 @@ class TestLoadXlsx:
         sheet = load_xlsx(path).sheets[0]
         assert sorted(sheet.cells) == [(1, 1), (3, 3)]
 
+    def test_sheets_share_one_address_and_coords_per_reference(self, tmp_path):
+        refs = ["A1", "B1", "C2", "XFD1048576"]
+        rows = "".join(f'<row r="{r[1:]}"><c r="{r}"><f>1+2</f></c></row>' for r in refs[:3])
+        rows += '<row r="1048576"><c r="XFD1048576"><v>7</v></c></row>'
+        sheets = [{"name": f"S{i}", "rows": rows} for i in range(3)]
+        workbook = load_xlsx(build_xlsx(tmp_path / "copies.xlsx", sheets))
+        addresses = {id(c.address) for s in workbook.sheets for c in s.cells.values()}
+        coords = {id(key) for s in workbook.sheets for key in s.cells}
+        assert len(addresses) == len(coords) == len(refs)
+        for sheet in workbook.sheets:
+            assert all(key == cell.address.coords() for key, cell in sheet.cells.items())
+
     def test_repeated_cell_names_sheet_and_both_refs(self, tmp_path):
         rows = '<row r="1"><c r="A1"><f>B1*12</f><v>4</v></c><c r="a1"><v>5</v></c></row>'
         path = build_xlsx(tmp_path / "twice.xlsx", [{"name": "S", "rows": rows}])
