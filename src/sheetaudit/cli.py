@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .addresses import A1, R1C1
 from .detect import (
     AnalysisReport,
     DetectionConfig,
@@ -34,6 +33,7 @@ from .report import (
 from .xlsx import FormatError, load_xlsx
 
 _WORKBOOK_SUFFIXES = {".xlsx", ".xlsm", ".json"}
+_EXTENSIONS = {Format.TEXT: "txt", Format.CSV: "csv", Format.JSON: "json"}  # of every report
 
 
 @dataclass
@@ -46,7 +46,6 @@ class RunOptions:
     mode: DetectionMode | None = None
     ignore_constants: list[float] | None = None
     data_regions: list[str] | None = None
-    ref_style: str | None = None
 
 
 class OptionsError(ValueError):
@@ -113,17 +112,26 @@ def build_config(options: RunOptions) -> DetectionConfig:
 
 
 def _expand_inputs(patterns: list[str], err) -> list[Path]:
+    """The matched workbooks in sorted order, each file once under its first spelling."""
     matched: list[Path] = []
     for pattern in patterns:
         matched.extend(Path(p) for p in glob.glob(pattern, recursive=True))
-    paths = sorted(set(matched))
-    workbooks = []
-    for path in paths:
+    workbooks: dict[object, Path] = {}
+    for path in sorted(set(matched)):
         if path.suffix.lower() not in _WORKBOOK_SUFFIXES:
             print(f"notice: skipping non-workbook file {path}", file=err)
             continue
-        workbooks.append(path)
-    return workbooks
+        # a file is its device and inode, whatever path, link or symlink names it
+        try:
+            status = path.stat()
+            key = (status.st_dev, status.st_ino)
+        except OSError:  # a dangling link or a symlink loop; loading it reports the error
+            key = path
+        if key in workbooks:
+            print(f"notice: skipping {path}, the same file as {workbooks[key]}", file=err)
+            continue
+        workbooks[key] = path
+    return list(workbooks.values())
 
 
 def _report_stems(paths: list[Path]) -> list[str]:
@@ -164,7 +172,8 @@ def run(options: RunOptions, err=None) -> int:
         print("error: no inputs matched", file=err)
         return 2
 
-    options.output_dir.mkdir(parents=True, exist_ok=True)
+    out = options.output_dir
+    out.mkdir(parents=True, exist_ok=True)
 
     rows: list[BatchSummaryRow] = []
     reports: list[AnalysisReport] = []
@@ -172,8 +181,6 @@ def run(options: RunOptions, err=None) -> int:
     for index, (path, stem) in enumerate(zip(paths, _report_stems(paths)), start=1):
         try:
             workbook = _load_workbook(path)
-            if options.ref_style is not None:
-                workbook.ref_style = options.ref_style
         except (OSError, FormatError, SchemaError) as exc:
             print(f"error: {path}: {exc}", file=err)
             rows.append(
@@ -194,26 +201,18 @@ def run(options: RunOptions, err=None) -> int:
         reports.append(report)
         rows.append(BatchSummaryRow.from_report(index, report))
         for fmt in options.formats:
-            doc = render_detail(report, fmt)
-            ext = doc.suggested_filename.rsplit(".", 1)[-1]
-            _write(options.output_dir / f"{stem}.findings.{ext}", doc.body)
+            body = render_detail(report, fmt).body
+            (out / f"{stem}.findings.{_EXTENSIONS[fmt]}").write_bytes(body)
 
     histogram = constant_histogram(reports)
     for fmt in options.formats:
-        summary = render_batch_summary(rows, fmt)
-        _write(options.output_dir / summary.suggested_filename, summary.body)
-        hist_doc = render_histogram(histogram, fmt)
-        _write(options.output_dir / hist_doc.suggested_filename, hist_doc.body)
+        (out / f"summary.{_EXTENSIONS[fmt]}").write_bytes(render_batch_summary(rows, fmt).body)
+        (out / f"constants.{_EXTENSIONS[fmt]}").write_bytes(render_histogram(histogram, fmt).body)
 
     if load_failed:
         return 2
     total_hard_codings = sum(r.hard_coding_count for r in reports)
     return 1 if total_hard_codings > options.fail_threshold else 0
-
-
-def _write(path: Path, body: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(body)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -243,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="declared input area, repeatable; sheet part is a glob",
     )
     parser.add_argument("--fail-threshold", type=int, default=0)
-    parser.add_argument("--ref-style", choices=["a1", "r1c1"])
     return parser
 
 
@@ -268,7 +266,6 @@ def main(argv: list[str] | None = None) -> int:
         mode=DetectionMode(args.mode) if args.mode else None,
         ignore_constants=ignore,
         data_regions=args.data_region,
-        ref_style={"a1": A1, "r1c1": R1C1}.get(args.ref_style) if args.ref_style else None,
     )
     return run(options)
 

@@ -3,7 +3,9 @@
 Per-workbook detail, multi-workbook summary, and the constant-value
 histogram, each in text-table, CSV, and JSON encodings.  Rendering is
 deterministic: identical inputs yield byte-identical bodies (no
-timestamps; run metadata belongs in filenames or sidecars).
+timestamps; run metadata belongs in filenames or sidecars).  Every
+document is a stream of text pieces that ``_document`` encodes; the
+caller names the file.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from json.encoder import encode_basestring
+from operator import itemgetter
 
 from .detect import AnalysisReport, ConstantOccurrence, Finding, FindingKind
 from .model import Scalar
@@ -29,14 +32,10 @@ class Format(Enum):
     JSON = "json"
 
 
-_EXTENSIONS = {Format.TEXT: "txt", Format.CSV: "csv", Format.JSON: "json"}
-
-
 @dataclass(frozen=True)
 class RenderedDocument:
     format: Format
     body: bytes
-    suggested_filename: str
 
 
 @dataclass(frozen=True)
@@ -85,81 +84,96 @@ def render_scalar(value: Scalar | None) -> str:
     return str(value)
 
 
-def safe_filename(name: str) -> str:
-    return re.sub(r"[^-._A-Za-z0-9]", "_", name) or "workbook"
+def _document(fmt: Format, pieces: Iterable[str]) -> RenderedDocument:
+    """The one place report text becomes bytes, each piece as it is made.
+
+    A lone surrogate (a JSON ``"\\ud800"`` escape, a file name that is not
+    UTF-8) has no UTF-8 form, so from its piece on pieces are written with
+    ``backslashreplace``: inside a JSON string, that same escape.
+    """
+    pieces = iter(pieces)
+    out = io.BytesIO()
+    try:
+        out.writelines(map(str.encode, pieces))
+    except UnicodeEncodeError as exc:
+        out.write(exc.object.encode(errors="backslashreplace"))
+        out.writelines(piece.encode(errors="backslashreplace") for piece in pieces)
+    # the buffer itself, not a copy of it: nothing else holds a view of it
+    return RenderedDocument(fmt, out.getvalue())
 
 
-def _finish(fmt: Format, body: bytes, stem: str) -> RenderedDocument:
-    return RenderedDocument(format=fmt, body=body, suggested_filename=f"{stem}.{_EXTENSIONS[fmt]}")
+def _text_table(rows: list[tuple[str, ...]]) -> Iterator[str]:
+    """Left-aligned columns two spaces apart, each as wide as its widest cell;
+    each row is let go once written, so rows and body are not both held whole."""
+    widths = (max(map(len, map(itemgetter(i), rows))) for i in range(len(rows[0])))
+    template = "  ".join("%%-%ds" % width for width in widths)
+    rows.reverse()
+    while rows:
+        yield (template % rows.pop()).rstrip() + "\n"
 
 
-def _text_table(rows: list[tuple[str, ...]]) -> str:
-    """Left-aligned columns two spaces apart, each as wide as its widest cell."""
-    template = "  ".join("%%-%ds" % max(map(len, column)) for column in zip(*rows))
-    return "".join((template % row).rstrip() + "\n" for row in rows)
+class _Echo:  # a file whose write gives its line back, so writerow returns it
+    write = str
 
 
-def _csv_body(rows: list[tuple[str, ...]]) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue().encode()
+def _csv_lines(rows: Iterable[tuple[str, ...]]) -> Iterator[str]:
+    return map(csv.writer(_Echo(), lineterminator="\n").writerow, rows)
 
 
 # --- per-workbook detail ----------------------------------------------
 
 _DETAIL_HEADER = ("No.", "Worksheet", "Cell", "Cell Formula", "Cell Value", "Constants", "Detail")
+# the text detail lists this many constants of a finding, then "(+N more)"
+_TEXT_MAX_CONSTANTS = 4
 
 
-def render_detail(
-    report: AnalysisReport, format: Format, max_constant_columns: int = 4
-) -> RenderedDocument:
-    stem = f"{safe_filename(report.workbook_name)}.findings"
+def render_detail(report: AnalysisReport, format: Format) -> RenderedDocument:
     if format is Format.JSON:
-        return _finish(format, _json_bytes(_detail_json(report)), stem)
-
+        return _document(format, _detail_json(report))
     r = report
     counts = (r.worksheet_count, r.formula_count, r.hard_coding_count, r.numeric_value_count)
     head = [
         ("Workbook Name", "Workbook Location", "Wks", "F'm", "Hard", "Num'c"),
         (r.workbook_name, r.workbook_location, *map(str, counts)),
     ]
-    body_rows = []
+    if format is Format.CSV:
+        rows = chain((row + ("",) for row in head), [_DETAIL_HEADER], _detail_rows(report, False))
+        return _document(format, _csv_lines(rows))
+    return _document(format, _detail_text(report, head))
+
+
+def _detail_rows(report: AnalysisReport, capped: bool) -> Iterator[tuple[str, ...]]:
+    """A table row per finding; ``capped`` lists at most _TEXT_MAX_CONSTANTS constants."""
     for number, finding in enumerate(report.findings, start=1):
         constants = [format_number(o.value) for o in finding.constants]
-        if format is Format.TEXT and len(constants) > max_constant_columns:
-            constants = constants[:max_constant_columns] + [
-                f"(+{len(finding.constants) - max_constant_columns} more)"
-            ]
-        body_rows.append(
-            (
-                str(number),
-                finding.sheet,
-                finding.address.render(),
-                finding.formula_text or "",
-                render_scalar(finding.cached_value),
-                " ".join(constants),
-                finding.detail,
-            )
+        if capped and len(constants) > _TEXT_MAX_CONSTANTS:
+            constants[_TEXT_MAX_CONSTANTS:] = [f"(+{len(constants) - _TEXT_MAX_CONSTANTS} more)"]
+        yield (
+            str(number),
+            finding.sheet,
+            finding.address.render(),
+            finding.formula_text or "",
+            render_scalar(finding.cached_value),
+            " ".join(constants),
+            finding.detail,
         )
 
-    if format is Format.CSV:
-        rows = [row + ("",) for row in head]
-        rows.append(_DETAIL_HEADER)
-        rows.extend(body_rows)
-        return _finish(format, _csv_body(rows), stem)
 
-    parts = ["Hard-coding audit of workbook\n", _text_table(head), "\n"]
-    if body_rows:
-        parts.append(_text_table([_DETAIL_HEADER, *body_rows]))
+def _detail_text(report: AnalysisReport, head: list[tuple[str, ...]]) -> Iterator[str]:
+    yield "Hard-coding audit of workbook\n"
+    yield from _text_table(head)
+    yield "\n"
+    # listed first: a text table needs every row to know its column widths
+    rows = [_DETAIL_HEADER, *_detail_rows(report, True)]
+    if len(rows) > 1:
+        yield from _text_table(rows)
     else:
-        parts.append("(no findings)\n")
+        yield "(no findings)\n"
     if report.warnings:
-        parts.append("\nWarnings\n")
+        yield "\nWarnings\n"
         for w in report.warnings:
             where = f" ({', '.join(w.locations)})" if w.locations else ""
-            parts.append(f"- {w.kind.value} on sheet {w.sheet!r}: {w.count}{where}\n")
-    return _finish(format, "".join(parts).encode(), stem)
+            yield f"- {w.kind.value} on sheet {w.sheet!r}: {w.count}{where}\n"
 
 
 # --- JSON -------------------------------------------------------------
@@ -169,18 +183,8 @@ def render_detail(
 # indent=1``: with any indent it leaves its C encoder for a generator per
 # container, which on a desk-scale workbook cost more than loading and
 # analysing it.  Strings go through the C escaper that encoder uses, and
-# each object is a ``%`` template with its keys in document order.
-#
-# A document is a stream of text pieces, each encoded into one byte buffer
-# as it is made, so a render holds about one copy of the document: no list
-# of every finding, no joined string and no separate encoding of it.
-
-
-def _json_bytes(pieces: Iterable[str]) -> bytes:
-    out = io.BytesIO()
-    out.writelines(map(str.encode, pieces))
-    # the buffer itself, not a copy of it: nothing else holds a view of it
-    return out.getvalue()
+# each object is a ``%`` template with its keys in document order, yielded
+# to ``_document`` as it is made: no list of every finding is held.
 
 
 def _json_array(items: Iterable[str], closing_indent: str) -> Iterator[str]:
@@ -311,7 +315,7 @@ def _rows_json(kind: str, items: Iterable[str]) -> Iterator[str]:
 
 
 def report_to_document(report: AnalysisReport) -> dict:
-    return json.loads(_json_bytes(_detail_json(report)))
+    return json.loads(render_detail(report, Format.JSON).body)
 
 
 # --- batch summary ----------------------------------------------------
@@ -335,7 +339,6 @@ _SUMMARY_JSON_ROW = (
 def render_batch_summary(rows: list[BatchSummaryRow], format: Format) -> RenderedDocument:
     if not rows:
         raise EmptyBatch("batch summary requires at least one row")
-    stem = "summary"
     if format is Format.JSON:
         q = encode_basestring
         items = (
@@ -352,7 +355,7 @@ def render_batch_summary(rows: list[BatchSummaryRow], format: Format) -> Rendere
             )
             for r in rows
         )
-        return _finish(format, _json_bytes(_rows_json("summary", items)), stem)
+        return _document(format, _rows_json("summary", items))
 
     table = [_SUMMARY_HEADER]
     for r in rows:
@@ -360,8 +363,8 @@ def render_batch_summary(rows: list[BatchSummaryRow], format: Format) -> Rendere
         tail = (f"ERROR: {r.error}", "", "", "") if r.error is not None else map(str, counts)
         table.append((f"#{r.index}", r.workbook_name, r.workbook_location, *tail))
     if format is Format.CSV:
-        return _finish(format, _csv_body(table), stem)
-    return _finish(format, ("Hard-coding audit summary\n" + _text_table(table)).encode(), stem)
+        return _document(format, _csv_lines(table))
+    return _document(format, chain(["Hard-coding audit summary\n"], _text_table(table)))
 
 
 # --- constant histogram -----------------------------------------------
@@ -371,11 +374,8 @@ _HISTOGRAM_JSON_ROW = '  {\n   "value": %s,\n   "count": %d\n  }'
 
 
 def render_histogram(histogram: list[tuple[float, int]], format: Format) -> RenderedDocument:
-    stem = "constants"
     if format is Format.JSON:
         items = (_HISTOGRAM_JSON_ROW % (_json_number(v), count) for v, count in histogram)
-        return _finish(format, _json_bytes(_rows_json("histogram", items)), stem)
+        return _document(format, _rows_json("histogram", items))
     table = [_HISTOGRAM_HEADER, *((format_number(v), str(count)) for v, count in histogram)]
-    if format is Format.CSV:
-        return _finish(format, _csv_body(table), stem)
-    return _finish(format, _text_table(table).encode(), stem)
+    return _document(format, (_csv_lines if format is Format.CSV else _text_table)(table))

@@ -1,9 +1,11 @@
 """Offline reader for ZIP-packaged SpreadsheetML workbooks.
 
-Reads the workbook part (sheet list, visibility, reference mode),
-shared strings, and worksheet parts (cells with stored formula text
-and cached values, merge lists, hidden row/column flags).  Formulas
-are never recomputed; write support is deliberately absent.
+Reads the workbook part (sheet list, visibility), shared strings, and
+worksheet parts (cells with stored formula text and cached values,
+merge lists, hidden row/column flags).  Formula text and cell
+positions are stored in A1 form whatever the display's reference mode,
+so a package is always read as A1.  Formulas are never recomputed;
+write support is deliberately absent.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from bisect import bisect_left, bisect_right
 from pathlib import Path
 from xml.etree import ElementTree
 
-from .addresses import A1, MAX_COLUMNS, MAX_ROWS, R1C1, AddressError, AddressMemo, address_memo
+from .addresses import MAX_COLUMNS, MAX_ROWS, AddressError, AddressMemo, address_memo
+from .addresses import column_to_letters
 from .model import Cell, Rectangle, Scalar, Sheet, SheetVisibility, Workbook, parse_range
 
 _NS = {
@@ -37,6 +40,9 @@ _VISIBILITY = {
 _C, _F, _V, _IS, _T = ("{%s}%s" % (_NS["main"], tag) for tag in ("c", "f", "v", "is", "t"))
 # a finite decimal or scientific <v> number, not Python's wider syntax (1_000, " 7 ", nan)
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+# a shared-string, row or column index: ASCII digits only, not int()'s wider syntax
+# (-1, 1_0, " 0 "); nine digits hold every index the format allows
+_INDEX_RE = re.compile(r"[0-9]{1,9}")
 _BOOLEANS = {"0": False, "1": True, "false": False, "true": True}
 
 # The most bytes one package member may inflate to.  A few kilobytes of
@@ -56,45 +62,38 @@ def load_xlsx(path: str | Path) -> Workbook:
         archive = zipfile.ZipFile(path)
     except (OSError, zipfile.BadZipFile) as exc:
         if isinstance(exc, zipfile.BadZipFile):
-            raise FormatError(f"{path}: not a ZIP package") from None
+            raise FormatError("not a ZIP package") from None
         raise
     with archive:
         try:
             workbook_xml = _read_xml(archive, "xl/workbook.xml")
         except KeyError:
-            raise FormatError(f"{path}: missing xl/workbook.xml") from None
+            raise FormatError("missing xl/workbook.xml") from None
         rels = _read_relationships(archive)
         shared = _read_shared_strings(archive)
-
-        ref_style = A1
-        calc_pr = workbook_xml.find("main:calcPr", _NS)
-        if calc_pr is not None and calc_pr.get("refMode") == "R1C1":
-            ref_style = R1C1
 
         sheets = []
         parse = address_memo()  # one address and coords per distinct reference, as in model
         sheet_elems = workbook_xml.findall("main:sheets/main:sheet", _NS)
         if not sheet_elems:
-            raise FormatError(f"{path}: workbook part declares no sheets")
+            raise FormatError("workbook part declares no sheets")
         for elem in sheet_elems:
             name = elem.get("name", "")
             rel_id = elem.get(f"{{{_NS['r']}}}id")
             target = rels.get(rel_id)
             if target is None:
-                raise FormatError(f"{path}: sheet {name!r} has no worksheet part")
+                raise FormatError(f"sheet {name!r} has no worksheet part")
             visibility = _VISIBILITY.get(elem.get("state"), SheetVisibility.VISIBLE)
             try:
                 sheet_xml = _read_xml(archive, target)
             except KeyError:
-                raise FormatError(f"{path}: sheet {name!r}: missing part {target}") from None
+                raise FormatError(f"sheet {name!r}: missing part {target}") from None
             sheets.append(_read_sheet(sheet_xml, name, visibility, shared, parse))
 
     try:
-        return Workbook(
-            name=path.name, source_path=str(path), sheets=tuple(sheets), ref_style=ref_style
-        )
+        return Workbook(name=path.name, source_path=str(path), sheets=tuple(sheets))
     except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        raise FormatError(str(exc)) from None
 
 
 def _read_xml(archive: zipfile.ZipFile, member: str) -> ElementTree.Element:
@@ -165,18 +164,21 @@ def _read_sheet(
     # shared-formula masters, keyed by si attribute
     shared_formulas: dict[str, str] = {}
     cells: dict[tuple[int, int], Cell] = {}
+    # a <row> or <c> without r (it is optional) sits one past the one before, as openpyxl reads it
+    row_number = 0
     for row in root.findall("main:sheetData/main:row", _NS):
+        row_number = _index_attr(row, "r", name, MAX_ROWS, absent=row_number + 1)
         if row.get("hidden") in ("1", "true"):
-            hidden_rows.add(_index_attr(row, "r", name, MAX_ROWS))
+            hidden_rows.add(row_number)
+        column = 0
         for c in row.findall(_C):
-            ref = c.get("r")
-            if not ref:
-                continue
+            ref = c.get("r") or f"{column_to_letters(column + 1)}{row_number}"
             try:
                 address, coords = parse(ref)
             except AddressError:
                 raise FormatError(f"sheet {name!r}: bad cell reference {ref!r}") from None
-            formula, value = _read_cell_content(c, shared, shared_formulas, name)
+            column = coords[1]
+            formula, value = _read_cell_content(c, ref, shared, shared_formulas, name)
             if formula is None and value is None:
                 continue
             if coords in cells:
@@ -207,6 +209,7 @@ def _read_sheet(
 
 def _read_cell_content(
     c: ElementTree.Element,
+    ref: str,
     shared: list[str],
     shared_formulas: dict[str, str],
     sheet_name: str,
@@ -228,7 +231,7 @@ def _read_cell_content(
                 body = shared_formulas.get(si)
                 if body is None:
                     raise FormatError(
-                        f"sheet {sheet_name!r}: cell {c.get('r')}: shared formula"
+                        f"sheet {sheet_name!r}: cell {ref}: shared formula"
                         f" si={si!r} has no master"
                     )
         if body:
@@ -242,29 +245,26 @@ def _read_cell_content(
     elif (v_elem := children.get(_V)) is not None and v_elem.text is not None:
         raw = v_elem.text
         if cell_type == "s":
-            try:
-                value = shared[int(raw)]
-            except (ValueError, IndexError):
-                raise FormatError(
-                    f"sheet {sheet_name!r}: bad shared string index {raw!r}"
-                ) from None
+            index = int(raw) if _INDEX_RE.fullmatch(raw) else len(shared)
+            if index >= len(shared):
+                raise FormatError(f"sheet {sheet_name!r}: bad shared string index {raw!r}")
+            value = shared[index]
         elif cell_type == "b":
             if (value := _BOOLEANS.get(raw)) is None:
-                raise FormatError(f"sheet {sheet_name!r}: cell {c.get('r')}: bad boolean {raw!r}")
+                raise FormatError(f"sheet {sheet_name!r}: cell {ref}: bad boolean {raw!r}")
         elif cell_type in ("str", "e"):
             value = raw
         else:
-            value = _parse_number(raw, sheet_name, c.get("r"))
+            value = _parse_number(raw, sheet_name, ref)
     return formula, value
 
 
-def _index_attr(elem: ElementTree.Element, key: str, sheet_name: str, limit: int) -> int:
-    """A 1-based row or column index attribute, at most ``limit``."""
+def _index_attr(
+    elem: ElementTree.Element, key: str, sheet_name: str, limit: int, absent: int = 0
+) -> int:
+    """A 1-based row or column index attribute, at most ``limit``; ``absent`` if missing."""
     raw = elem.get(key)
-    try:
-        index = int(raw)
-    except (TypeError, ValueError):
-        index = 0
+    index = absent if raw is None else int(raw) if _INDEX_RE.fullmatch(raw) else 0
     if not 1 <= index <= limit:
         tag = elem.tag.rpartition("}")[2]
         raise FormatError(

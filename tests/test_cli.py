@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import zipfile
 from dataclasses import fields
@@ -70,12 +71,98 @@ class TestExitCodes:
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert "ERROR" in summary
 
+    def test_load_error_names_its_path_once(self, tmp_path, capsys):
+        bad = tmp_path / "bad.xlsx"
+        bad.write_bytes(b"nope")
+        code = main([str(bad), "--out", str(tmp_path / "out"), "--format", "json"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: not a ZIP package\n"
+        [row] = json.loads((tmp_path / "out" / "summary.json").read_text())["rows"]
+        assert (row["workbook_location"], row["error"]) == (str(bad), "not a ZIP package")
+
+    def test_one_file_under_several_spellings_is_audited_once(self, tmp_path, capsys):
+        folder = tmp_path / "d"
+        folder.mkdir()
+        doc = {"name": "wb", "sheets": [{"name": "S", "cells": {"A1": {"f": "=B1*2+3+4"}}}]}
+        (folder / "wb.json").write_text(json.dumps(doc))
+        spellings = [folder / "wb.json", folder / ".." / "d" / "wb.json"]
+        try:
+            (folder / "link.json").symlink_to("wb.json")
+            spellings.append(folder / "link.json")
+        except OSError:
+            pass
+        out = tmp_path / "out"
+        args = [*map(str, spellings), "--out", str(out), "--format", "json"]
+        code = main([*args, "--fail-threshold", "3"])
+        assert code == 0
+        kept, *skipped = sorted(spellings)
+        assert capsys.readouterr().err == "".join(
+            f"notice: skipping {path}, the same file as {kept}\n" for path in skipped
+        )
+        [row] = json.loads((out / "summary.json").read_text())["rows"]
+        assert (row["workbook_location"], row["hard_coding_count"]) == (str(kept), 3)
+        assert [p.name for p in out.glob("*.findings.json")] == [f"{kept.stem}.findings.json"]
+
+    def test_symlink_loop_is_an_error_row(self, tmp_path):
+        write_fixture(tmp_path / "good.json")
+        try:
+            (tmp_path / "loop.json").symlink_to("loop.json")
+        except OSError:
+            pytest.skip("the file system makes no symlinks")
+        out = tmp_path / "out"
+        assert main([str(tmp_path / "*.json"), "--out", str(out), "--format", "json"]) == 2
+        rows = json.loads((out / "summary.json").read_text())["rows"]
+        assert [(r["workbook_name"], r["error"] is None) for r in rows] == [
+            ("good", True),
+            ("loop.json", False),
+        ]
+
+    def test_lone_surrogates_are_written_as_escapes(self, tmp_path):
+        write_fixture(tmp_path / "good.json")
+        # json.dumps writes each lone surrogate as its \ud800 escape
+        cells = {"A1": {"f": '=B1*2&"\ud800"'}}
+        doc = {"name": "s\ud800", "sheets": [{"name": "S\udfff", "cells": cells}]}
+        (tmp_path / "surrogate.json").write_text(json.dumps(doc))
+        try:
+            # a file name that is not UTF-8 reaches Python as a lone surrogate
+            write_fixture(tmp_path / os.fsdecode(b"wb\xff.json"), name="wb")
+        except (OSError, UnicodeError):
+            pass
+        formats = ["--format", "text", "--format", "csv", "--format", "json"]
+        code = main([str(tmp_path / "*.json"), "--out", str(tmp_path / "out"), *formats])
+        assert code == 1
+        solo = main([str(tmp_path / "good.json"), "--out", str(tmp_path / "solo"), *formats])
+        assert solo == 1
+        for report in (tmp_path / "out").iterdir():
+            text = report.read_bytes().decode("utf-8")
+            if report.suffix == ".json":
+                json.loads(text)
+        for report in (tmp_path / "solo").glob("good.findings.*"):
+            assert (tmp_path / "out" / report.name).read_bytes() == report.read_bytes()
+        detail = json.loads((tmp_path / "out" / "surrogate.findings.json").read_text())
+        assert detail["workbook"]["name"] == "s\ud800"
+        assert detail["findings"][0]["formula"] == '=B1*2&"\ud800"'
+
     def test_fail_threshold_allows_findings(self, tmp_path):
         write_fixture(tmp_path / "wb.json")
         code = main(
             [str(tmp_path / "wb.json"), "--out", str(tmp_path / "out"), "--fail-threshold", "50"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--ignore-constants", "0,x"], "error: bad --ignore-constants value '0,x'\n"),
+            (["--fail-threshold", "-1"], "error: --fail-threshold must be non-negative\n"),
+        ],
+    )
+    def test_bad_flag_value_exits_two(self, tmp_path, capsys, flags, message):
+        write_fixture(tmp_path / "wb.json")
+        code = main([str(tmp_path / "wb.json"), "--out", str(tmp_path / "out"), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         config = tmp_path / "conf.json"

@@ -73,6 +73,11 @@ class TestAuditMetadata:
         [warning] = audit_metadata(workbook)
         assert warning == AuditWarning(WarningKind.VERY_HIDDEN_SHEET, "secret", 1)
 
+    def test_hidden_sheet_warning(self):
+        workbook = Workbook(name="w", sheets=(Sheet(name="old", visibility=SheetVisibility.HIDDEN),))
+        [warning] = audit_metadata(workbook)
+        assert warning == AuditWarning(WarningKind.HIDDEN_SHEET, "old", 1)
+
     def test_merged_region_warning(self):
         sheet = make_sheet(merged_regions=(parse_range("B2:C3"),))
         [warning] = audit_metadata(Workbook(name="w", sheets=(sheet,)))

@@ -33,6 +33,7 @@ from sheetaudit.report import (
     report_to_document,
 )
 from table3 import workbook_document
+from test_acceptance import _desk_scale_document
 
 DATA_CONFIG = DetectionConfig(data_regions=(DataRegion("Data"),))
 
@@ -226,10 +227,52 @@ class TestDetail:
             "sheets": [{"name": "S", "cells": {"A1": {"f": "=1+2+3+4+5+6"}}}],
         }
         report = aw(wfd(doc), DetectionConfig())
-        text = render_detail(report, Format.TEXT, max_constant_columns=4).body.decode()
+        text = render_detail(report, Format.TEXT).body.decode()
         assert "(+2 more)" in text
-        csv_body = render_detail(report, Format.CSV, max_constant_columns=4).body.decode()
+        csv_body = render_detail(report, Format.CSV).body.decode()
         assert "1 2 3 4 5 6" in csv_body
+
+    def test_text_and_csv_of_a_workbook_with_warnings(self):
+        doc = {
+            "name": "warned",
+            "sheets": [
+                {
+                    "name": "Calc",
+                    "cells": {"A1": {"f": "=1+2+3+4+5+6", "v": 21}, "B2": {"v": 7}},
+                    "merged": ["C3:D4"],
+                    "hidden_rows": [5, 9],
+                    "hidden_cols": [2],
+                },
+                {"name": "Old", "visibility": "hidden"},
+                {"name": "Key", "visibility": "very_hidden", "cells": {"A1": {"f": "=A2*1.5"}}},
+            ],
+        }
+        report = analyze_workbook(workbook_from_document(doc), DetectionConfig())
+        assert render_detail(report, Format.TEXT).body.decode() == (
+            "Hard-coding audit of workbook\n"
+            "Workbook Name  Workbook Location  Wks  F'm  Hard  Num'c\n"
+            "warned                            3    2    7     1\n"
+            "\n"
+            "No.  Worksheet  Cell  Cell Formula  Cell Value  Constants          Detail\n"
+            "1    Calc       $A$1  =1+2+3+4+5+6  21          1 2 3 4 (+2 more)\n"
+            "2    Calc       $B$2                7\n"
+            "3    Key        $A$1  =A2*1.5                   1.5\n"
+            "\n"
+            "Warnings\n"
+            "- hidden_rows on sheet 'Calc': 2 (5, 9)\n"
+            "- hidden_columns on sheet 'Calc': 1 (B)\n"
+            "- merged_cells on sheet 'Calc': 1 (C3:D4)\n"
+            "- hidden_sheet on sheet 'Old': 1\n"
+            "- very_hidden_sheet on sheet 'Key': 1\n"
+        )
+        assert render_detail(report, Format.CSV).body.decode() == (
+            "Workbook Name,Workbook Location,Wks,F'm,Hard,Num'c,\n"
+            "warned,,3,2,7,1,\n"
+            "No.,Worksheet,Cell,Cell Formula,Cell Value,Constants,Detail\n"
+            "1,Calc,$A$1,=1+2+3+4+5+6,21,1 2 3 4 5 6,\n"
+            "2,Calc,$B$2,,7,,\n"
+            "3,Key,$A$1,=A2*1.5,,1.5,\n"
+        )
 
     def test_csv_constant_column_count(self, report):
         rows = list(csv.reader(io.StringIO(render_detail(report, Format.CSV).body.decode())))
@@ -356,33 +399,51 @@ class TestDetail:
             assert render_detail(report, fmt).body == render_detail(report, fmt).body
 
     def test_json_render_holds_about_one_report(self):
-        # 20,000 findings whose constants tuples come from a pool of 50, as
-        # the classification memo shares one tuple among the cells of a text
-        pool = [
-            tuple(ConstantOccurrence(n + k / 4, 3 * k, 3 * k + 2) for k in range(n % 3 + 1))
-            for n in range(50)
-        ]
-        findings = tuple(
-            Finding(
-                FindingKind.HARD_CODED_CONSTANT,
-                f"Sheet{n % 7}",
-                CellAddress(n // 20 + 1, n % 20 + 1),
-                f"=A{n}*{n % 50}",
-                float(n),
-                pool[n % 50],
-                "" if n % 9 else "shared",
-            )
-            for n in range(20_000)
-        )
-        generated = AnalysisReport("w", "loc", 7, 20_000, 40_000, 0, findings=findings)
-        tracemalloc.start()
-        try:
-            body = render_detail(generated, Format.JSON).body
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        body, peak = render_peak(pooled_report(), Format.JSON)
         assert body.count(b'"kind": "hard_coded_constant"') == 20_000
         assert peak <= 1.5 * len(body)
+
+    @pytest.mark.parametrize("fmt,bound", [(Format.CSV, 4), (Format.TEXT, 5)])
+    def test_csv_and_text_render_hold_a_few_reports(self, fmt, bound):
+        # the desk workbook's shape; a text table lists its rows first, for their widths
+        document, _ = _desk_scale_document(total_formulas=10_000, sheet_count=4)
+        report = analyze_workbook(workbook_from_document(document), DetectionConfig())
+        body, peak = render_peak(report, fmt)
+        assert body.count(b"\n") > len(report.findings) == 6_000
+        assert peak <= bound * len(body)
+
+
+def pooled_report():
+    """20,000 findings whose constants tuples come from a pool of 50, as
+    the classification memo shares one tuple among the cells of a text."""
+    pool = [
+        tuple(ConstantOccurrence(n + k / 4, 3 * k, 3 * k + 2) for k in range(n % 3 + 1))
+        for n in range(50)
+    ]
+    findings = tuple(
+        Finding(
+            FindingKind.HARD_CODED_CONSTANT,
+            f"Sheet{n % 7}",
+            CellAddress(n // 20 + 1, n % 20 + 1),
+            f"=A{n}*{n % 50}",
+            float(n),
+            pool[n % 50],
+            "" if n % 9 else "shared",
+        )
+        for n in range(20_000)
+    )
+    return AnalysisReport("w", "loc", 7, 20_000, 40_000, 0, findings=findings)
+
+
+def render_peak(report, fmt):
+    """One render's body and the traced peak of making it."""
+    tracemalloc.start()
+    try:
+        body = render_detail(report, fmt).body
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return body, peak
 
 
 class TestBatchSummary:

@@ -1,5 +1,6 @@
 import pytest
 
+from sheetaudit.detect import DetectionConfig, FindingKind, analyze_workbook
 from sheetaudit.model import SheetVisibility
 from sheetaudit.xlsx import FormatError, load_xlsx
 from xlsx_builder import build_xlsx
@@ -62,6 +63,15 @@ class TestLoadXlsx:
         assert cell_at(workbook, "S", (1, 1)).cached_value == "hello"
         assert cell_at(workbook, "S", (1, 2)).cached_value == "world"
         assert cell_at(workbook, "S", (1, 3)).cached_value == "inline"
+
+    def test_shared_formula_follower_reads_its_master_text(self, tmp_path):
+        rows = (
+            '<row r="1"><c r="A1"><f t="shared" ref="A1:A2" si="0">B1*12</f><v>24</v></c></row>'
+            '<row r="2"><c r="A2"><f t="shared" si="0"/><v>36</v></c></row>'
+        )
+        sheet = load_xlsx(build_xlsx(tmp_path / "sh.xlsx", [{"name": "S", "rows": rows}])).sheets[0]
+        assert [sheet.cells[(r, 1)].formula_text for r in (1, 2)] == ["=B1*12", "=B1*12"]
+        assert sheet.cells[(2, 1)].cached_value == 36
 
     def test_formula_cell_count_matches_source(self, tmp_path):
         rows = (
@@ -169,14 +179,79 @@ class TestLoadXlsx:
         assert sheet.cells[(1, 3)].formula_text == "=CONCAT(A1)"
 
     def test_r1c1_ref_mode_detected(self, tmp_path):
+        # refMode is how a spreadsheet shows references; the package stores them as A1
         path = build_xlsx(tmp_path / "r1c1.xlsx", [{"name": "S"}], ref_mode_r1c1=True)
-        assert load_xlsx(path).ref_style == "R1C1"
+        assert load_xlsx(path).ref_style == "A1"
+
+    def test_r1c1_ref_mode_formulas_are_audited_as_a1(self, tmp_path):
+        rows = '<row r="1"><c r="A1"><f>$A$1*1.1</f></c><c r="B1"><f>Sheet2!A1*7</f></c></row>'
+        sheets = [{"name": "S", "rows": rows}, {"name": "Sheet2"}]
+        for r1c1 in (False, True):
+            path = build_xlsx(tmp_path / f"mode{r1c1}.xlsx", sheets, ref_mode_r1c1=r1c1)
+            report = analyze_workbook(load_xlsx(path), DetectionConfig())
+            assert [(f.kind, [o.value for o in f.constants]) for f in report.findings] == [
+                (FindingKind.HARD_CODED_CONSTANT, [1.1]),
+                (FindingKind.HARD_CODED_CONSTANT, [7]),
+            ]
+
+    @pytest.mark.parametrize("raw", ["-1", "1_0", " 0 ", "+0", "\u0660", "11"])
+    def test_shared_string_index_is_ascii_digits_within_the_table(self, tmp_path, raw):
+        rows = f'<row r="1"><c r="A1" t="s"><v>{raw}</v></c></row>'
+        strings = [f"s{n}" for n in range(11)]
+        path = build_xlsx(tmp_path / "s.xlsx", [{"name": "S", "rows": rows}], shared_strings=strings)
+        with pytest.raises(FormatError, match="bad shared string index"):
+            load_xlsx(path)
+
+    @pytest.mark.parametrize(
+        "sheet",
+        [
+            {"rows": '<row r="1_0" hidden="1"><c r="A10"><v>1</v></c></row>'},
+            {"rows": '<row r="+3"><c r="A3"><v>1</v></c></row>'},
+            {"cols": '<cols><col min=" 2" max="3" hidden="1"/></cols>'},
+            {"cols": '<cols><col min="2" max="+3" hidden="1"/></cols>'},
+        ],
+    )
+    def test_row_and_column_indexes_are_ascii_digits(self, tmp_path, sheet):
+        path = build_xlsx(tmp_path / "i.xlsx", [{"name": "S", **sheet}])
+        with pytest.raises(FormatError, match="is not an index from 1 to"):
+            load_xlsx(path)
+
+    def test_cells_and_rows_without_r_follow_the_one_before(self, tmp_path):
+        rows = (
+            '<row r="2"><c><f>A1*7</f></c><c r="C2"><v>1</v></c><c><v>2</v></c></row>'
+            '<row hidden="1"><c><v>3</v></c></row>'
+            '<row><c r="B4"><v>4</v></c></row>'
+        )
+        sheet = load_xlsx(build_xlsx(tmp_path / "r.xlsx", [{"name": "S", "rows": rows}])).sheets[0]
+        assert {coords: (c.formula_text, c.cached_value) for coords, c in sheet.cells.items()} == {
+            (2, 1): ("=A1*7", None),
+            (2, 3): (None, 1),
+            (2, 4): (None, 2),
+            (3, 1): (None, 3),
+            (4, 2): (None, 4),
+        }
+        assert sheet.hidden_rows == {3}
+
+    def test_cell_without_r_past_the_last_column_is_an_error(self, tmp_path):
+        rows = '<row r="1"><c r="XFD1"><v>1</v></c><c><v>2</v></c></row>'
+        path = build_xlsx(tmp_path / "x.xlsx", [{"name": "S", "rows": rows}])
+        with pytest.raises(FormatError, match="bad cell reference 'XFE1'"):
+            load_xlsx(path)
 
     def test_not_a_zip_raises_format_error(self, tmp_path):
         path = tmp_path / "junk.xlsx"
         path.write_bytes(b"this is not a zip")
         with pytest.raises(FormatError):
             load_xlsx(path)
+
+    def test_messages_leave_the_path_to_the_caller(self, tmp_path):
+        junk = tmp_path / "junk.xlsx"
+        junk.write_bytes(b"this is not a zip")
+        twice = build_xlsx(tmp_path / "twice.xlsx", [{"name": "S"}, {"name": "S"}])
+        for path in (junk, twice):
+            with pytest.raises(FormatError) as caught:
+                load_xlsx(path)
+            assert str(tmp_path) not in str(caught.value)
 
     def test_zip_without_workbook_part_raises(self, tmp_path):
         import zipfile
