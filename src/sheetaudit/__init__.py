@@ -38,7 +38,6 @@ from .model import (
     workbook_from_document,
 )
 from .report import (
-    BatchSummaryRow,
     EmptyBatch,
     Format,
     RenderedDocument,

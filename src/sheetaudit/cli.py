@@ -3,7 +3,8 @@
 Expands input patterns, audits every matched workbook, writes the
 per-workbook detail reports plus one batch summary and one aggregate
 constant histogram, and exits linter-style: 0 clean, 1 when hard
-codings exceed the threshold, 2 on load failures or bad options.
+codings exceed the threshold, 2 on load failures, bad options or a
+report that cannot be written.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ from .detect import (
     constant_histogram,
 )
 from .model import SchemaError, load_json, parse_range
-from .report import (
-    BatchSummaryRow,
-    Format,
-    render_batch_summary,
-    render_detail,
-    render_histogram,
-)
+from .report import Format, render_batch_summary, render_detail, render_histogram
 from .xlsx import FormatError, load_xlsx
 
 _WORKBOOK_SUFFIXES = {".xlsx", ".xlsm", ".json"}
@@ -76,6 +71,8 @@ def _load_config_document(path: Path) -> dict:
         raise OptionsError(f"config {path} cannot be read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise OptionsError(f"config {path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise OptionsError(f"config {path} is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise OptionsError(f"config {path} is JSON nested too deeply") from None
     if not isinstance(doc, dict):
@@ -173,43 +170,33 @@ def run(options: RunOptions, err=None) -> int:
         return 2
 
     out = options.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
-    rows: list[BatchSummaryRow] = []
     reports: list[AnalysisReport] = []
-    load_failed = False
-    for index, (path, stem) in enumerate(zip(paths, _report_stems(paths)), start=1):
-        try:
-            workbook = _load_workbook(path)
-        except (OSError, FormatError, SchemaError) as exc:
-            print(f"error: {path}: {exc}", file=err)
-            rows.append(
-                BatchSummaryRow(
-                    index=index,
-                    workbook_name=path.name,
-                    workbook_location=str(path),
-                    worksheet_count=0,
-                    formula_count=0,
-                    hard_coding_count=0,
-                    numeric_value_count=0,
-                    error=str(exc),
-                )
-            )
-            load_failed = True
-            continue
-        report = analyze_workbook(workbook, config)
-        reports.append(report)
-        rows.append(BatchSummaryRow.from_report(index, report))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for path, stem in zip(paths, _report_stems(paths)):
+            try:
+                workbook = _load_workbook(path)
+            except (OSError, FormatError, SchemaError) as exc:
+                # an OSError's text repeats the path: "[Errno 21] Is a directory: 'x.json'"
+                error = getattr(exc, "strerror", None) or str(exc)
+                print(f"error: {path}: {error}", file=err)
+                reports.append(AnalysisReport(path.name, str(path), 0, 0, 0, 0, error=error))
+                continue
+            reports.append(report := analyze_workbook(workbook, config))
+            for fmt in options.formats:
+                body = render_detail(report, fmt).body
+                (out / f"{stem}.findings.{_EXTENSIONS[fmt]}").write_bytes(body)
+
+        histogram = constant_histogram(reports)
         for fmt in options.formats:
-            body = render_detail(report, fmt).body
-            (out / f"{stem}.findings.{_EXTENSIONS[fmt]}").write_bytes(body)
+            ext = _EXTENSIONS[fmt]
+            (out / f"summary.{ext}").write_bytes(render_batch_summary(reports, fmt).body)
+            (out / f"constants.{ext}").write_bytes(render_histogram(histogram, fmt).body)
+    except OSError as exc:  # the output directory or a report file; what is written stays
+        print(f"error: {exc.filename or out}: {exc.strerror or exc}", file=err)
+        return 2
 
-    histogram = constant_histogram(reports)
-    for fmt in options.formats:
-        (out / f"summary.{_EXTENSIONS[fmt]}").write_bytes(render_batch_summary(rows, fmt).body)
-        (out / f"constants.{_EXTENSIONS[fmt]}").write_bytes(render_histogram(histogram, fmt).body)
-
-    if load_failed:
+    if any(r.error is not None for r in reports):
         return 2
     total_hard_codings = sum(r.hard_coding_count for r in reports)
     return 1 if total_hard_codings > options.fail_threshold else 0

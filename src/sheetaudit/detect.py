@@ -170,6 +170,7 @@ class AnalysisReport:
     numeric_value_count: int
     findings: tuple[Finding, ...] = ()
     warnings: tuple[AuditWarning, ...] = ()
+    error: str | None = None  # why the workbook could not be loaded; its counts are then 0
 
 
 # constant-only shape in heuristic mode, where no token stream exists

@@ -38,30 +38,6 @@ class RenderedDocument:
     body: bytes
 
 
-@dataclass(frozen=True)
-class BatchSummaryRow:
-    index: int
-    workbook_name: str
-    workbook_location: str
-    worksheet_count: int
-    formula_count: int
-    hard_coding_count: int
-    numeric_value_count: int
-    error: str | None = None
-
-    @classmethod
-    def from_report(cls, index: int, report: AnalysisReport) -> "BatchSummaryRow":
-        return cls(
-            index=index,
-            workbook_name=report.workbook_name,
-            workbook_location=report.workbook_location,
-            worksheet_count=report.worksheet_count,
-            formula_count=report.formula_count,
-            hard_coding_count=report.hard_coding_count,
-            numeric_value_count=report.numeric_value_count,
-        )
-
-
 class EmptyBatch(ValueError):
     pass
 
@@ -336,15 +312,17 @@ _SUMMARY_JSON_ROW = (
 )
 
 
-def render_batch_summary(rows: list[BatchSummaryRow], format: Format) -> RenderedDocument:
-    if not rows:
+def render_batch_summary(reports: list[AnalysisReport], format: Format) -> RenderedDocument:
+    """A row per report, numbered from 1; a report with an error shows it for its counts."""
+    if not reports:
         raise EmptyBatch("batch summary requires at least one row")
+    rows = enumerate(reports, start=1)
     if format is Format.JSON:
         q = encode_basestring
         items = (
             _SUMMARY_JSON_ROW
             % (
-                r.index,
+                index,
                 q(r.workbook_name),
                 q(r.workbook_location),
                 r.worksheet_count,
@@ -353,15 +331,15 @@ def render_batch_summary(rows: list[BatchSummaryRow], format: Format) -> Rendere
                 r.numeric_value_count,
                 "null" if r.error is None else q(r.error),
             )
-            for r in rows
+            for index, r in rows
         )
         return _document(format, _rows_json("summary", items))
 
     table = [_SUMMARY_HEADER]
-    for r in rows:
+    for index, r in rows:
         counts = (r.worksheet_count, r.formula_count, r.hard_coding_count, r.numeric_value_count)
         tail = (f"ERROR: {r.error}", "", "", "") if r.error is not None else map(str, counts)
-        table.append((f"#{r.index}", r.workbook_name, r.workbook_location, *tail))
+        table.append((f"#{index}", r.workbook_name, r.workbook_location, *tail))
     if format is Format.CSV:
         return _document(format, _csv_lines(table))
     return _document(format, chain(["Hard-coding audit summary\n"], _text_table(table)))

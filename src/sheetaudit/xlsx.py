@@ -57,13 +57,13 @@ class FormatError(ValueError):
 
 
 def load_xlsx(path: str | Path) -> Workbook:
+    """The package's workbook.  An error gets its sheet here and its cell in
+    ``_read_sheet``; the helpers below raise a ``ValueError`` with the fact alone."""
     path = Path(path)
     try:
         archive = zipfile.ZipFile(path)
-    except (OSError, zipfile.BadZipFile) as exc:
-        if isinstance(exc, zipfile.BadZipFile):
-            raise FormatError("not a ZIP package") from None
-        raise
+    except zipfile.BadZipFile:
+        raise FormatError("not a ZIP package") from None
     with archive:
         try:
             workbook_xml = _read_xml(archive, "xl/workbook.xml")
@@ -79,16 +79,16 @@ def load_xlsx(path: str | Path) -> Workbook:
             raise FormatError("workbook part declares no sheets")
         for elem in sheet_elems:
             name = elem.get("name", "")
-            rel_id = elem.get(f"{{{_NS['r']}}}id")
-            target = rels.get(rel_id)
+            target = rels.get(elem.get(f"{{{_NS['r']}}}id"))
             if target is None:
                 raise FormatError(f"sheet {name!r} has no worksheet part")
             visibility = _VISIBILITY.get(elem.get("state"), SheetVisibility.VISIBLE)
             try:
                 sheet_xml = _read_xml(archive, target)
-            except KeyError:
-                raise FormatError(f"sheet {name!r}: missing part {target}") from None
-            sheets.append(_read_sheet(sheet_xml, name, visibility, shared, parse))
+                sheets.append(_read_sheet(sheet_xml, name, visibility, shared, parse))
+            except (KeyError, ValueError) as exc:  # only _read_xml raises a KeyError
+                problem = f"missing part {target}" if isinstance(exc, KeyError) else exc
+                raise FormatError(f"sheet {name!r}: {problem}") from None
 
     try:
         return Workbook(name=path.name, source_path=str(path), sheets=tuple(sheets))
@@ -148,17 +148,14 @@ def _read_sheet(
     for mc in root.findall("main:mergeCells/main:mergeCell", _NS):
         ref = mc.get("ref")
         if ref:
-            try:
-                merged.append(parse_range(ref))
-            except ValueError as exc:
-                raise FormatError(f"sheet {name!r}: {exc}") from None
+            merged.append(parse_range(ref))
 
     hidden_rows = set()
     hidden_cols = set()
     for col in root.findall("main:cols/main:col", _NS):
         if col.get("hidden") in ("1", "true"):
-            first = _index_attr(col, "min", name, MAX_COLUMNS)
-            last = _index_attr(col, "max", name, MAX_COLUMNS)
+            first = _index_attr(col, "min", MAX_COLUMNS)
+            last = _index_attr(col, "max", MAX_COLUMNS)
             hidden_cols.update(range(first, last + 1))
 
     # shared-formula masters, keyed by si attribute
@@ -167,7 +164,7 @@ def _read_sheet(
     # a <row> or <c> without r (it is optional) sits one past the one before, as openpyxl reads it
     row_number = 0
     for row in root.findall("main:sheetData/main:row", _NS):
-        row_number = _index_attr(row, "r", name, MAX_ROWS, absent=row_number + 1)
+        row_number = _index_attr(row, "r", MAX_ROWS, absent=row_number + 1)
         if row.get("hidden") in ("1", "true"):
             hidden_rows.add(row_number)
         column = 0
@@ -176,14 +173,17 @@ def _read_sheet(
             try:
                 address, coords = parse(ref)
             except AddressError:
-                raise FormatError(f"sheet {name!r}: bad cell reference {ref!r}") from None
+                raise ValueError(f"bad cell reference {ref!r}") from None
             column = coords[1]
-            formula, value = _read_cell_content(c, ref, shared, shared_formulas, name)
+            try:
+                formula, value = _read_cell_content(c, shared, shared_formulas)
+            except ValueError as exc:
+                raise ValueError(f"cell {ref}: {exc}") from None
             if formula is None and value is None:
                 continue
             if coords in cells:
                 earlier = cells[coords].address.render()
-                raise FormatError(f"sheet {name!r}: cells {earlier!r} and {ref!r} are the same cell")
+                raise ValueError(f"cells {earlier!r} and {ref!r} are the same cell")
             # content is present and a formula carries its "=", so skip Cell.__new__'s checks
             cells[coords] = tuple.__new__(Cell, (address, formula, value))
 
@@ -208,11 +208,7 @@ def _read_sheet(
 
 
 def _read_cell_content(
-    c: ElementTree.Element,
-    ref: str,
-    shared: list[str],
-    shared_formulas: dict[str, str],
-    sheet_name: str,
+    c: ElementTree.Element, shared: list[str], shared_formulas: dict[str, str]
 ) -> tuple[str | None, Scalar | None]:
     # one walk over the children; the first of each tag wins, as in find()
     children = {child.tag: child for child in reversed(c)}
@@ -230,10 +226,7 @@ def _read_cell_content(
                 # constant audit)
                 body = shared_formulas.get(si)
                 if body is None:
-                    raise FormatError(
-                        f"sheet {sheet_name!r}: cell {ref}: shared formula"
-                        f" si={si!r} has no master"
-                    )
+                    raise ValueError(f"shared formula si={si!r} has no master")
         if body:
             formula = "=" + body
 
@@ -247,34 +240,30 @@ def _read_cell_content(
         if cell_type == "s":
             index = int(raw) if _INDEX_RE.fullmatch(raw) else len(shared)
             if index >= len(shared):
-                raise FormatError(f"sheet {sheet_name!r}: bad shared string index {raw!r}")
+                raise ValueError(f"bad shared string index {raw!r}")
             value = shared[index]
         elif cell_type == "b":
             if (value := _BOOLEANS.get(raw)) is None:
-                raise FormatError(f"sheet {sheet_name!r}: cell {ref}: bad boolean {raw!r}")
+                raise ValueError(f"bad boolean {raw!r}")
         elif cell_type in ("str", "e"):
             value = raw
         else:
-            value = _parse_number(raw, sheet_name, ref)
+            value = _parse_number(raw)
     return formula, value
 
 
-def _index_attr(
-    elem: ElementTree.Element, key: str, sheet_name: str, limit: int, absent: int = 0
-) -> int:
+def _index_attr(elem: ElementTree.Element, key: str, limit: int, absent: int = 0) -> int:
     """A 1-based row or column index attribute, at most ``limit``; ``absent`` if missing."""
     raw = elem.get(key)
     index = absent if raw is None else int(raw) if _INDEX_RE.fullmatch(raw) else 0
     if not 1 <= index <= limit:
         tag = elem.tag.rpartition("}")[2]
-        raise FormatError(
-            f"sheet {sheet_name!r}: <{tag}> {key}={raw!r} is not an index from 1 to {limit}"
-        )
+        raise ValueError(f"<{tag}> {key}={raw!r} is not an index from 1 to {limit}")
     return index
 
 
-def _parse_number(raw: str, sheet_name: str, ref: str) -> Scalar:
+def _parse_number(raw: str) -> Scalar:
     if _NUMBER_RE.fullmatch(raw) and math.isfinite(number := float(raw)):
         return int(raw) if raw.lstrip("+-").isdigit() else number
-    raise FormatError(f"sheet {sheet_name!r}: cell {ref}: bad number {raw!r}")
+    raise ValueError(f"bad number {raw!r}")
 

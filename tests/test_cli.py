@@ -80,6 +80,37 @@ class TestExitCodes:
         [row] = json.loads((tmp_path / "out" / "summary.json").read_text())["rows"]
         assert (row["workbook_location"], row["error"]) == (str(bad), "not a ZIP package")
 
+    def test_unreadable_input_names_its_path_once(self, tmp_path, capsys):
+        (tmp_path / "x.json").mkdir()
+        expected = {tmp_path / "x.json": "Is a directory"}
+        try:
+            (tmp_path / "gone.json").symlink_to("missing.json")
+            expected[tmp_path / "gone.json"] = "No such file or directory"
+        except OSError:
+            pass  # the file system makes no symlinks
+        out = tmp_path / "out"
+        code = main([*map(str, expected), "--out", str(out), "--format", "json"])
+        assert code == 2
+        errors = sorted(expected.items())
+        assert capsys.readouterr().err == "".join(f"error: {p}: {e}\n" for p, e in errors)
+        rows = json.loads((out / "summary.json").read_text())["rows"]
+        assert [(r["workbook_location"], r["error"]) for r in rows] == [
+            (str(p), e) for p, e in errors
+        ]
+
+    def test_unusable_output_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        wb = write_fixture(tmp_path / "wb.json")
+        regular = tmp_path / "afile"
+        regular.write_text("")
+        assert main([str(wb), "--out", str(regular)]) == 2
+        assert capsys.readouterr().err == f"error: {regular}: File exists\n"
+        out = tmp_path / "out"
+        (out / "wb.findings.txt").mkdir(parents=True)
+        assert main([str(wb), "--out", str(out), "--format", "json", "--format", "text"]) == 2
+        assert capsys.readouterr().err == f"error: {out / 'wb.findings.txt'}: Is a directory\n"
+        # the report written before the failure stays
+        assert json.loads((out / "wb.findings.json").read_text())["kind"] == "detail"
+
     def test_one_file_under_several_spellings_is_audited_once(self, tmp_path, capsys):
         folder = tmp_path / "d"
         folder.mkdir()
@@ -373,6 +404,7 @@ MALFORMED_SHEETS = {
     ],
     "boolean-text.xlsx": [{"rows": '<row r="1"><c r="A1" t="b"><v>abc</v></c></row>'}],
     "boolean-two.xlsx": [{"rows": '<row r="1"><c r="A1" t="b"><v>2</v></c></row>'}],
+    "shared-string-index.xlsx": [{"rows": '<row r="1"><c r="A1" t="s"><v>-1</v></c></row>'}],
 }
 MALFORMED_JSON = {
     "merged-not-list.json": b'{"name": "m", "sheets": [{"name": "S", "merged": 5}]}',
@@ -412,6 +444,40 @@ def test_malformed_workbook_is_an_error_row(tmp_path, capsys, broken_name):
     assert errors[broken_name]
     assert errors["good"] is None
     assert (tmp_path / "out" / "good.findings.json").exists()
+
+
+def test_malformed_sheet_messages(tmp_path):
+    # every MALFORMED_SHEETS input with the message it loads with: its sheet, then its cell
+    table = {
+        "merge-ref.xlsx": "sheet 'S': cannot parse range 'A1:ZZ': cannot parse cell address 'ZZ'",
+        "col-min.xlsx": "sheet 'S': <col> min='x' is not an index from 1 to 16384",
+        "col-no-bounds.xlsx": "sheet 'S': <col> min=None is not an index from 1 to 16384",
+        "col-negative.xlsx": "sheet 'S': <col> min='-1' is not an index from 1 to 16384",
+        "row-r.xlsx": "sheet 'S': <row> r='x' is not an index from 1 to 1048576",
+        "col-max.xlsx": "sheet 'S': <col> max='16385' is not an index from 1 to 16384",
+        "row-r-max.xlsx": "sheet 'S': <row> r='1048577' is not an index from 1 to 1048576",
+        "cell-col-max.xlsx": "sheet 'S': bad cell reference 'XFE1'",
+        "cell-row-max.xlsx": "sheet 'S': bad cell reference 'A1048577'",
+        "merge-max.xlsx": "sheet 'S': cannot parse range 'A1:XFE1': row must be from 1 to"
+        " 1048576 and column from 1 to 16384, got row=1 column=16385",
+        "bad-number.xlsx": "sheet 'S': cell A1: bad number 'abc'",
+        "number-underscore.xlsx": "sheet 'S': cell A1: bad number '1_000'",
+        "number-spaces.xlsx": "sheet 'S': cell A1: bad number ' 7 '",
+        "number-nan.xlsx": "sheet 'S': cell A1: bad number 'nan'",
+        "number-inf.xlsx": "sheet 'S': cell A1: bad number 'inf'",
+        "shared-no-master.xlsx": "sheet 'S': cell C2: shared formula si='9' has no master",
+        "duplicate-sheets.xlsx": "duplicate sheet names in workbook 'duplicate-sheets.xlsx'",
+        "duplicate-cell.xlsx": "sheet 'S': cells 'A1' and 'a1' are the same cell",
+        "boolean-text.xlsx": "sheet 'S': cell A1: bad boolean 'abc'",
+        "boolean-two.xlsx": "sheet 'S': cell A1: bad boolean '2'",
+        "shared-string-index.xlsx": "sheet 'S': cell A1: bad shared string index '-1'",
+    }
+    assert list(table) == list(MALFORMED_SHEETS)
+    for name, message in table.items():
+        path = build_xlsx(tmp_path / name, [{"name": "S", **s} for s in MALFORMED_SHEETS[name]])
+        with pytest.raises(xlsx.FormatError) as info:
+            xlsx.load_xlsx(path)
+        assert str(info.value) == message, name
 
 
 class TestOutputs:

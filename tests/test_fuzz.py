@@ -2,10 +2,13 @@
 
 Each batch holds one good workbook and one mutant: an XLSX package from
 ``xlsx_builder`` with a member dropped, cut short or bit-flipped, or an
-attribute or ``<v>`` changed; or a JSON workbook document, lone
-surrogates included.  Whatever the mutant, ``main`` exits 0, 1 or 2,
-every report it writes is UTF-8 (each JSON report parses), and the good
-workbook's reports are byte for byte the ones it gets alone.
+attribute, ``<v>`` or XML declaration changed; or a JSON workbook
+document, lone surrogates included.  Whatever the mutant, ``main`` exits
+0, 1 or 2, every report it writes is UTF-8 (each JSON report parses),
+and the good workbook's reports are byte for byte the ones it gets
+alone.  A mutated config document, likewise, never makes ``main``
+raise: it is refused before any report is written, or it gives the
+reports the same document gives spelt another way.
 """
 
 from __future__ import annotations
@@ -66,18 +69,35 @@ ODD_VALUES = st.sampled_from(
     [b"", b"0", b"-1", b"1_0", b" 0 ", b"+3", b"2", b"99999999999", b"XFE1", b"A0", b"R1C1",
      b"nan", b"1e999", b"true", "٠".encode(), b"&#xD800;", b"<"]
 ) | st.binary(max_size=6)
+# values for each pseudo-attribute of a member's <?xml ...?> declaration
+DECLARED = {
+    b"encoding": st.sampled_from(
+        [b"bogus", b"shift_jis", b"UTF-32", b"utf-7", b"UTF-16", b"latin-1", b"cp037", b""]
+    ),
+    b"version": st.sampled_from([b"1.1", b"2.0", b"x", b""]),
+    b"standalone": st.sampled_from([b"no", b"maybe", b""]),
+}
+
+
+def declared(member: str, key: bytes, value: bytes):
+    """The mutation that sets ``key`` in ``member``'s XML declaration to ``value``."""
+    old = re.match(rb'<\?xml[^>]*?( %s="[^"]*")' % key, BASE[member]).group(1)
+    return "replace", member, old, b" %s=\"%s\"" % (key, value)
 
 
 @st.composite
 def package_mutations(draw):
     """(kind, member, a, b): a member dropped, cut at fraction a, flipped at
-    fraction a and bit b, or a field a replaced by b.  Cut and flip take the
-    whole package when member is None."""
-    kind = draw(st.sampled_from(["drop", "cut", "flip", "replace", "replace"]))
+    fraction a and bit b, or a field or declaration attribute a replaced by
+    b.  Cut and flip take the whole package when member is None."""
+    kind = draw(st.sampled_from(["drop", "cut", "flip", "replace", "replace", "declare"]))
     if kind in ("cut", "flip"):
         member = draw(st.sampled_from([None, *sorted(BASE)]))
         return kind, member, draw(st.floats(0, 1)), draw(st.integers(0, 7))
     member = draw(st.sampled_from(sorted(BASE)))
+    if kind == "declare":
+        key = draw(st.sampled_from(sorted(DECLARED)))
+        return declared(member, key, draw(DECLARED[key]))
     fields = FIELD.findall(BASE[member])
     if kind == "drop" or not fields:
         return "drop", member, None, None
@@ -136,6 +156,10 @@ def _check_batch(folder: Path, mutant: Path) -> None:
 @example(("replace", SHEET1, b'<col min="2"', b'<col min=" 2"'))
 @example(("replace", SHEET1, b'<c r="A1">', b"<c>"))
 @example(("cut", None, 0.0, 0))  # not a ZIP package
+@example(declared(SHEET1, b"encoding", b"bogus"))  # an unknown encoding
+@example(declared(SHEET1, b"encoding", b"shift_jis"))  # multi-byte encodings expat refuses
+@example(declared(SHEET1, b"encoding", b"UTF-32"))
+@example(declared(SHEET1, b"encoding", b"utf-7"))
 def test_mutated_package(mutation):
     with tempfile.TemporaryDirectory() as folder:
         mutant = Path(folder) / "mutant.xlsx"
@@ -194,3 +218,68 @@ def test_mutated_json_document(document, file_name):
             mutant = mutant.with_name("mutant.json")
             mutant.write_text(text)
         _check_batch(Path(folder), mutant)
+
+
+# each key's own values first, then any JSON value
+CONFIG_VALUES = {
+    "ignore_constants": st.lists(st.integers() | st.floats() | st.booleans() | TEXTS, max_size=3),
+    "data_regions": st.lists(
+        st.fixed_dictionaries(
+            {"sheet": TEXTS | st.sampled_from(["Data", "Ca*", "[", "Q1!Data"])},
+            optional={"range": st.sampled_from(["A1:B2", "A1:ZZ", "B2:A1", "XFE1"]) | TEXTS},
+        )
+        | JSON_VALUES,
+        max_size=2,
+    ),
+    "mode": st.sampled_from(["lexical", "heuristic", "LEXICAL"]),
+    "heuristic_operators": st.sampled_from(["*/", "", "+-*/^(,", "x"]),
+    "max_constants_per_cell": st.integers(-1, 3),
+}
+CONFIG_DOCUMENTS = (
+    st.fixed_dictionaries(
+        {}, optional={key: values | JSON_VALUES for key, values in CONFIG_VALUES.items()}
+    )
+    | st.dictionaries(TEXTS, JSON_VALUES, max_size=2)
+    | JSON_VALUES
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    CONFIG_DOCUMENTS.map(lambda document: json.dumps(document).encode())
+    | st.binary(max_size=8)
+    | st.sampled_from([b"", b"{", b"[" * 100_000, b"\xef\xbb\xbf{}"])
+)
+@example(json.dumps({"data_regions": [{"sheet": "\ud800"}], "max_constants_per_cell": 1}).encode())
+@example(b"\xed\xa0\x80")  # a lone surrogate written as UTF-8 would be: not UTF-8 text
+def test_mutated_config_document(data):
+    with tempfile.TemporaryDirectory() as folder:
+        folder = Path(folder)
+        good = folder / "good.json"
+        good.write_text(json.dumps(GOOD))
+        runs = {"as-drawn": data}
+        try:
+            # the same document with its keys in another order, spelt another way
+            document = json.loads(data.decode("utf-8"))
+            runs["re-spelt"] = json.dumps(document, sort_keys=True, indent=2).encode()
+        except (ValueError, RecursionError):
+            pass
+        codes = {}
+        for run, body in runs.items():
+            config = folder / f"{run}.json"
+            config.write_bytes(body)
+            out = folder / run
+            codes[run] = main([str(good), "--config", str(config), "--out", str(out), *FORMATS])
+            assert codes[run] in (0, 1, 2)
+            if codes[run] == 2:  # a config is checked before any report is written
+                assert not out.exists()
+                continue
+            for report in out.iterdir():
+                text = report.read_bytes().decode("utf-8")
+                if report.suffix == ".json":
+                    json.loads(text)
+        if len(codes) == 2:
+            assert codes["as-drawn"] == codes["re-spelt"]
+            if codes["as-drawn"] != 2:
+                for report in (folder / "as-drawn").iterdir():
+                    assert (folder / "re-spelt" / report.name).read_bytes() == report.read_bytes()

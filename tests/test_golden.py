@@ -1,8 +1,9 @@
 """Golden digests of every report file the CLI writes for the fixture corpora.
 
 The Table-3 fixture and the nine-model batch run in both detection
-modes, the desk-scale workbook in lexical mode, each in text, CSV and
-JSON.  Inputs are given as paths relative to the run directory, so the
+modes, the desk-scale workbook in lexical mode, and the Table-3 fixture
+beside three workbooks that fail to load, each in text, CSV and JSON.
+Inputs are given as paths relative to the run directory, so the
 summary's location column does not depend on where the test runs.  A
 rewrite of any layer must leave every digest unchanged; a deliberate
 report change updates the table here and says why.
@@ -16,6 +17,8 @@ import pytest
 from sheetaudit.cli import main
 from table3 import workbook_document
 from test_acceptance import _desk_scale_document
+from test_cli import MALFORMED_SHEETS
+from xlsx_builder import build_xlsx
 
 FORMATS = ["--format", "text", "--format", "csv", "--format", "json"]
 
@@ -26,6 +29,8 @@ RUNS = {
     "batch-lexical": ("batch/*.json", ["--mode", "lexical", "--data-region", "Data"]),
     "batch-heuristic": ("batch/*.json", ["--mode", "heuristic", "--data-region", "Data"]),
     "desk-lexical": ("desk.json", ["--mode", "lexical"]),
+    # a non-ZIP package, a cell given twice in XLSX and in JSON: three error rows
+    "errors": ("errors/*", ["--mode", "lexical", "--data-region", "Data"]),
 }
 
 GOLDEN = {
@@ -104,6 +109,15 @@ GOLDEN = {
     "desk-lexical/summary.csv": "02e45778f336d7cfc057341df0ddaa5a6d0aa2c29be6f1deb66ff26553bde0a4",
     "desk-lexical/summary.json": "e25287be0261eaacb419f9ef7eab47c2cca2e9fa0ee94797d5cde4e7a474281d",
     "desk-lexical/summary.txt": "f85640b7a403e8653ba95c32dcdada596f1d45d93e8a46c657e5e1055a1ee5ab",
+    "errors/constants.csv": "ed6d67d29a8a0fb601528d4c1952ee2e38812b508faeca8a7b02d1943fde5045",
+    "errors/constants.json": "908e784ba1fe5b00fffd160837ec59095c740b568997f3b58d27ff7474ead77e",
+    "errors/constants.txt": "c5cfb102f053819508950fee0509b4f25dbdb93bb0b822c414443f0c25305106",
+    "errors/summary.csv": "b00d15164cf784a162c2129c99761c83658d811f91f349be5f36877ea00972b6",
+    "errors/summary.json": "0c64b9b9d02e839708584a94bd33a66b9eb104759fc965af559784afea56ef44",
+    "errors/summary.txt": "b11bf52990548b1b200fefaf16e9031304948d30b49ed13a607b4c459fb77924",
+    "errors/table3.findings.csv": "92517a650d8668f341f2e10ccde3c97b2a70b28e74f6d21c1c5087bae40ee5a5",
+    "errors/table3.findings.json": "42569e55061f8fc44cd2b8ff1fad716d570bcee7fd36deb3ea72e6445379a546",
+    "errors/table3.findings.txt": "4dde6bf8a33795b99cc2a3c30cfbda28ffd17d6aa7f8b5b4490306d9414ccd8e",
     "table3-heuristic/constants.csv": "9d43704e032be7152b7a3f7858716b96b6524936c9dba8bf64481188db70bb4d",
     "table3-heuristic/constants.json": "cf2b666bf81241a67d33667fae9547ac0c73b3148b8b1d13e9a95cda4c8982e9",
     "table3-heuristic/constants.txt": "0bd79e16888ca67b96be8e38c62825f0d2542e7947d24a309bc1511ef2345574",
@@ -133,12 +147,21 @@ def report_digests(root):
         doc = workbook_document(f"student{i}.xls")
         (root / "batch" / f"student{i}.json").write_text(json.dumps(doc), encoding="utf-8")
     (root / "desk.json").write_text(json.dumps(_desk_scale_document()[0]), encoding="utf-8")
+    errors = root / "errors"
+    errors.mkdir()
+    (errors / "table3.json").write_text((root / "table3.json").read_text(encoding="utf-8"))
+    (errors / "broken.xlsx").write_bytes(b"not a ZIP package")
+    sheets = [{"name": "S", **sheet} for sheet in MALFORMED_SHEETS["duplicate-cell.xlsx"]]
+    build_xlsx(errors / "duplicate-cell.xlsx", sheets)
+    sheets = [{"name": "S", "cells": {"A1": {"f": "=B1*12"}, "a1": {"v": 5}}}]
+    (errors / "keys.json").write_text(json.dumps({"name": "keys", "sheets": sheets}))
 
     digests = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(root)
         for run, (pattern, extra) in RUNS.items():
-            assert main([pattern, "--out", f"out/{run}", *FORMATS, *extra]) == 1
+            code = main([pattern, "--out", f"out/{run}", *FORMATS, *extra])
+            assert code == (2 if run == "errors" else 1)
             for path in sorted((root / "out" / run).iterdir()):
                 digests[f"{run}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests

@@ -23,7 +23,6 @@ from sheetaudit.detect import (
 )
 from sheetaudit.model import AuditWarning, WarningKind, parse_range, workbook_from_document
 from sheetaudit.report import (
-    BatchSummaryRow,
     EmptyBatch,
     Format,
     format_number,
@@ -77,11 +76,11 @@ def report():
     return analyze_workbook(workbook_from_document(workbook_document()), DATA_CONFIG)
 
 
-def summary_rows():
+def summary_reports():
     return [
-        BatchSummaryRow(1, "Budget Case-HongY.xls", "P:/Submissions", 12, 468, 91, 43),
-        BatchSummaryRow(2, "Budgeting assignment_Liu Liu.xls", "P:/Submissions", 12, 496, 60, 45),
-        BatchSummaryRow(3, "Jason324442.xls", "P:/Submissions", 13, 821, 47, 42),
+        AnalysisReport("Budget Case-HongY.xls", "P:/Submissions", 12, 468, 91, 43),
+        AnalysisReport("Budgeting assignment_Liu Liu.xls", "P:/Submissions", 12, 496, 60, 45),
+        AnalysisReport("Jason324442.xls", "P:/Submissions", 13, 821, 47, 42),
     ]
 
 
@@ -186,8 +185,8 @@ def shared_constants_reports(draw):
 
 
 big_ints = st.integers(-(10**40), 10**40)
-batch_rows = st.builds(
-    BatchSummaryRow, big_ints, st.text(), st.text(), *[big_ints] * 4, st.none() | st.text()
+batch_reports = st.builds(
+    AnalysisReport, st.text(), st.text(), *[big_ints] * 4, error=st.none() | st.text()
 )
 histograms = st.lists(
     st.tuples(
@@ -448,18 +447,18 @@ def render_peak(report, fmt):
 
 class TestBatchSummary:
     def test_rows_numbered_in_order(self):
-        body = render_batch_summary(summary_rows(), Format.TEXT).body.decode()
+        body = render_batch_summary(summary_reports(), Format.TEXT).body.decode()
         lines = [l for l in body.splitlines() if l.startswith("#")]
         assert len(lines) == 3
         assert lines[2].split()[:1] == ["#3"]
         assert lines[2].split()[-4:] == ["13", "821", "47", "42"]
 
     def test_no_totals_line(self):
-        body = render_batch_summary(summary_rows(), Format.TEXT).body.decode()
+        body = render_batch_summary(summary_reports(), Format.TEXT).body.decode()
         assert "total" not in body.lower()
 
     def test_single_row(self):
-        body = render_batch_summary(summary_rows()[:1], Format.CSV).body.decode()
+        body = render_batch_summary(summary_reports()[:1], Format.CSV).body.decode()
         rows = list(csv.reader(io.StringIO(body)))
         assert len(rows) == 2
 
@@ -468,21 +467,21 @@ class TestBatchSummary:
             render_batch_summary([], Format.TEXT)
 
     def test_error_marker_row(self):
-        rows = summary_rows() + [
-            BatchSummaryRow(4, "broken.xlsx", "/tmp/broken.xlsx", 0, 0, 0, 0, error="not a ZIP package")
+        reports = summary_reports() + [
+            AnalysisReport("broken.xlsx", "/tmp/broken.xlsx", 0, 0, 0, 0, error="not a ZIP package")
         ]
-        body = render_batch_summary(rows, Format.TEXT).body.decode()
+        body = render_batch_summary(reports, Format.TEXT).body.decode()
         assert "ERROR: not a ZIP package" in body
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(batch_rows, min_size=1, max_size=4))
-    def test_json_layout_is_the_stdlib_indent_layout(self, rows):
+    @given(st.lists(batch_reports, min_size=1, max_size=4))
+    def test_json_layout_is_the_stdlib_indent_layout(self, reports):
         payload = {
             "schema_version": 1,
             "kind": "summary",
             "rows": [
                 {
-                    "index": r.index,
+                    "index": index,
                     "workbook_name": r.workbook_name,
                     "workbook_location": r.workbook_location,
                     "worksheet_count": r.worksheet_count,
@@ -491,13 +490,13 @@ class TestBatchSummary:
                     "numeric_value_count": r.numeric_value_count,
                     "error": r.error,
                 }
-                for r in rows
+                for index, r in enumerate(reports, start=1)
             ],
         }
-        assert render_batch_summary(rows, Format.JSON).body == stdlib_json(payload)
+        assert render_batch_summary(reports, Format.JSON).body == stdlib_json(payload)
 
     def test_json_shape(self):
-        parsed = json.loads(render_batch_summary(summary_rows(), Format.JSON).body.decode())
+        parsed = json.loads(render_batch_summary(summary_reports(), Format.JSON).body.decode())
         assert [r["index"] for r in parsed["rows"]] == [1, 2, 3]
         assert parsed["rows"][0]["hard_coding_count"] == 91
 
