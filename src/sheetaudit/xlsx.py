@@ -14,7 +14,6 @@ import math
 import re
 import zipfile
 import zlib
-from bisect import bisect_left, bisect_right
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -81,7 +80,7 @@ def load_xlsx(path: str | Path) -> Workbook:
             name = elem.get("name", "")
             target = rels.get(elem.get(f"{{{_NS['r']}}}id"))
             if target is None:
-                raise FormatError(f"sheet {name!r} has no worksheet part")
+                raise FormatError(f"sheet {name!r}: no worksheet part")
             visibility = _VISIBILITY.get(elem.get("state"), SheetVisibility.VISIBLE)
             try:
                 sheet_xml = _read_xml(archive, target)
@@ -186,16 +185,6 @@ def _read_sheet(
                 raise ValueError(f"cells {earlier!r} and {ref!r} are the same cell")
             # content is present and a formula carries its "=", so skip Cell.__new__'s checks
             cells[coords] = tuple.__new__(Cell, (address, formula, value))
-
-    # only a merge's anchor keeps its content; a merge walks the populated cells of its rows
-    anchors = {r.top_left.coords() for r in merged}
-    populated = sorted(cells) if merged else []
-    for r in merged:
-        (top, left), (bottom, right) = r.top_left.coords(), r.bottom_right.coords()
-        lo, hi = bisect_left(populated, (top, left)), bisect_right(populated, (bottom, right))
-        for coords in populated[lo:hi]:
-            if left <= coords[1] <= right and coords not in anchors:
-                cells.pop(coords, None)
 
     return Sheet(
         name=name,

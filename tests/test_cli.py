@@ -208,23 +208,37 @@ class TestExitCodes:
     def test_missing_worksheet_part_is_an_error_row(self, tmp_path, capsys):
         rows = '<row r="1"><c r="A1"><f>B1/12</f><v>4</v></c></row>'
         build_xlsx(tmp_path / "good.xlsx", [{"name": "S", "rows": rows}])
-        full = tmp_path / "full.xlsx"
-        build_xlsx(full, [{"name": "S", "rows": rows}])
-        # same package without its worksheet part
-        with zipfile.ZipFile(full) as src, zipfile.ZipFile(tmp_path / "broken.xlsx", "w") as dst:
-            for info in src.infolist():
-                if info.filename != "xl/worksheets/sheet1.xml":
-                    dst.writestr(info, src.read(info))
+        full = build_xlsx(tmp_path / "full.xlsx", [{"name": "S", "rows": rows}])
+        with zipfile.ZipFile(full) as src:
+            members = {info.filename: src.read(info) for info in src.infolist()}
         full.unlink()
+        sheet1, rels = "xl/worksheets/sheet1.xml", "xl/_rels/workbook.xml.rels"
+        # the same package without its worksheet part, or with workbook rels
+        # that name no part for the sheet's r:id
+        broken = {
+            "no-part.xlsx": {name: data for name, data in members.items() if name != sheet1},
+            "no-relationship.xlsx": {
+                **members, rels: members[rels].replace(b'Id="rId1"', b'Id="rId9"')
+            },
+        }
+        messages = {
+            "no-part.xlsx": f"sheet 'S': missing part {sheet1}",
+            "no-relationship.xlsx": "sheet 'S': no worksheet part",
+        }
+        for package, content in broken.items():
+            with zipfile.ZipFile(tmp_path / package, "w") as dst:
+                for name, data in content.items():
+                    dst.writestr(name, data)
         code = main(
             [str(tmp_path / "*.xlsx"), "--out", str(tmp_path / "out"), "--format", "json"]
         )
         assert code == 2
-        assert "broken.xlsx" in capsys.readouterr().err
+        assert capsys.readouterr().err == "".join(
+            f"error: {tmp_path / package}: {message}\n" for package, message in messages.items()
+        )
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         errors = {row["workbook_name"]: row["error"] for row in summary["rows"]}
-        assert "xl/worksheets/sheet1.xml" in errors["broken.xlsx"]
-        assert errors["good.xlsx"] is None
+        assert errors == {"good.xlsx": None, **messages}
         assert (tmp_path / "out" / "good.findings.json").exists()
 
     @pytest.mark.parametrize("damage", ["flip-deflated", "flip-stored", "truncated",

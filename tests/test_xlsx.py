@@ -1,7 +1,7 @@
 import pytest
 
 from sheetaudit.detect import DetectionConfig, FindingKind, analyze_workbook
-from sheetaudit.model import SheetVisibility
+from sheetaudit.model import SheetVisibility, WarningKind
 from sheetaudit.xlsx import FormatError, load_xlsx
 from xlsx_builder import build_xlsx
 
@@ -116,18 +116,23 @@ class TestLoadXlsx:
         assert list(sheet.cells) == [(1_048_576, 16_384)]
         assert [r.render() for r in sheet.merged_regions] == ["A1:XFD1"]
 
-    def test_non_anchor_merged_content_dropped(self, tmp_path):
-        rows = '<row r="2"><c r="B2"><v>1</v></c><c r="C2"><v>9</v></c></row>'
+    def test_cells_under_a_merge_are_audited(self, tmp_path):
+        # a merge hides its other cells as hiding does, so they are audited, and the
+        # merge is a warning; README "Workbook inputs" states the rule
+        rows = '<row r="2"><c r="B2"><v>1</v></c><c r="C2"><f>B2*7</f></c></row>'
         path = build_xlsx(
             tmp_path / "merge.xlsx", [{"name": "S", "rows": rows, "merged": ["B2:C3"]}]
         )
-        sheet = load_xlsx(path).sheets[0]
-        assert (2, 2) in sheet.cells
-        assert (2, 3) not in sheet.cells
+        report = analyze_workbook(load_xlsx(path), DetectionConfig())
+        assert [(f.address.render(), f.kind) for f in report.findings] == [
+            ("$B$2", FindingKind.DIRECT_NUMERIC_ENTRY),
+            ("$C$2", FindingKind.HARD_CODED_CONSTANT),
+        ]
+        assert [(w.kind, w.locations) for w in report.warnings] == [
+            (WarningKind.MERGED_CELLS, ("B2:C3",))
+        ]
 
-    def test_merge_over_the_whole_sheet_keeps_only_anchors(self, tmp_path):
-        # the lookup walks populated cells, never the 17e9 covered coordinates;
-        # C3 anchors its own merge inside the big one, so it stays, as before
+    def test_merge_over_the_whole_sheet_keeps_every_cell(self, tmp_path):
         rows = (
             '<row r="1"><c r="A1"><v>1</v></c><c r="B1"><v>2</v></c></row>'
             '<row r="3"><c r="C3"><v>3</v></c><c r="D4"><v>4</v></c></row>'
@@ -136,7 +141,8 @@ class TestLoadXlsx:
         merged = ["A1:XFD1048576", "C3:D4"]
         path = build_xlsx(tmp_path / "all.xlsx", [{"name": "S", "rows": rows, "merged": merged}])
         sheet = load_xlsx(path).sheets[0]
-        assert sorted(sheet.cells) == [(1, 1), (3, 3)]
+        assert sorted(sheet.cells) == [(1, 1), (1, 2), (3, 3), (4, 4), (1_048_576, 16_384)]
+        assert [r.render() for r in sheet.merged_regions] == merged
 
     def test_sheets_share_one_address_and_coords_per_reference(self, tmp_path):
         refs = ["A1", "B1", "C2", "XFD1048576"]
