@@ -13,7 +13,8 @@ import argparse
 import glob
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from collections import Counter
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .detect import (
@@ -170,7 +171,8 @@ def run(options: RunOptions, err=None) -> int:
         return 2
 
     out = options.output_dir
-    reports: list[AnalysisReport] = []
+    reports: list[AnalysisReport] = []  # counts only: each workbook's findings end with its loop
+    histogram: Counter[float] = Counter()
     try:
         out.mkdir(parents=True, exist_ok=True)
         for path, stem in zip(paths, _report_stems(paths)):
@@ -182,16 +184,20 @@ def run(options: RunOptions, err=None) -> int:
                 print(f"error: {path}: {error}", file=err)
                 reports.append(AnalysisReport(path.name, str(path), 0, 0, 0, 0, error=error))
                 continue
-            reports.append(report := analyze_workbook(workbook, config))
+            report = analyze_workbook(workbook, config)
             for fmt in options.formats:
                 body = render_detail(report, fmt).body
                 (out / f"{stem}.findings.{_EXTENSIONS[fmt]}").write_bytes(body)
+            # an equal value keeps its first key, as in one call over the whole batch
+            histogram.update(dict(constant_histogram([report])))
+            reports.append(replace(report, findings=(), warnings=()))
+            del workbook, report, body  # before the next load
 
-        histogram = constant_histogram(reports)
+        counts = sorted(histogram.items())
         for fmt in options.formats:
             ext = _EXTENSIONS[fmt]
             (out / f"summary.{ext}").write_bytes(render_batch_summary(reports, fmt).body)
-            (out / f"constants.{ext}").write_bytes(render_histogram(histogram, fmt).body)
+            (out / f"constants.{ext}").write_bytes(render_histogram(counts, fmt).body)
     except OSError as exc:  # the output directory or a report file; what is written stays
         print(f"error: {exc.filename or out}: {exc.strerror or exc}", file=err)
         return 2

@@ -313,7 +313,9 @@ _SUMMARY_JSON_ROW = (
 
 
 def render_batch_summary(reports: list[AnalysisReport], format: Format) -> RenderedDocument:
-    """A row per report, numbered from 1; a report with an error shows it for its counts."""
+    """A row per report, numbered from 1.  A report with an error shows it in place of
+    its counts: ``ERROR: <message>`` in CSV, its ``error`` in JSON, and in text
+    ``ERROR``, with the message listed under the table."""
     if not reports:
         raise EmptyBatch("batch summary requires at least one row")
     rows = enumerate(reports, start=1)
@@ -335,14 +337,21 @@ def render_batch_summary(reports: list[AnalysisReport], format: Format) -> Rende
         )
         return _document(format, _rows_json("summary", items))
 
-    table = [_SUMMARY_HEADER]
+    table, errors = [_SUMMARY_HEADER], []
     for index, r in rows:
         counts = (r.worksheet_count, r.formula_count, r.hard_coding_count, r.numeric_value_count)
-        tail = (f"ERROR: {r.error}", "", "", "") if r.error is not None else map(str, counts)
+        tail = map(str, counts)
+        if r.error is not None:
+            message = f"ERROR: {r.error}"
+            # under a text table a message sets no column's width
+            tail = (message if format is Format.CSV else "ERROR", "", "", "")
+            errors.append(f"#{index}  {message}\n")
         table.append((f"#{index}", r.workbook_name, r.workbook_location, *tail))
     if format is Format.CSV:
         return _document(format, _csv_lines(table))
-    return _document(format, chain(["Hard-coding audit summary\n"], _text_table(table)))
+    if errors:
+        errors.insert(0, "\nLoad errors\n")
+    return _document(format, chain(["Hard-coding audit summary\n"], _text_table(table), errors))
 
 
 # --- constant histogram -----------------------------------------------

@@ -1,15 +1,28 @@
 import json
 import os
 import struct
+import tempfile
+import tracemalloc
 import zipfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheetaudit import xlsx
 from sheetaudit.cli import RunOptions, build_config, main
-from sheetaudit.detect import DataRegion, DetectionConfig, DetectionMode
-from sheetaudit.model import parse_range
+from sheetaudit.detect import (
+    AnalysisReport,
+    DataRegion,
+    DetectionConfig,
+    DetectionMode,
+    analyze_workbook,
+    constant_histogram,
+)
+from sheetaudit.model import load_json, parse_range
+from sheetaudit.report import Format, render_batch_summary, render_histogram
 from table3 import workbook_document
 from xlsx_builder import build_xlsx
 
@@ -625,6 +638,88 @@ class TestOutputs:
         for name, path in zip(("wb", "WB-3", "wb-2"), inputs):
             doc = json.loads((out / f"{name}.findings.json").read_text())
             assert doc["workbook"]["location"] == str(path)
+
+
+ALL_FORMATS = ["--format", "text", "--format", "csv", "--format", "json"]
+
+
+def write_formula_workbook(path):
+    """One sheet of 400 formulas, each with two constants, and 100 numeric values."""
+    cells = {f"A{r}": {"f": f"=B{r}*{r % 7 + 2}+C{r}*1.5"} for r in range(1, 401)}
+    cells.update({f"D{r}": {"v": r + 0.25} for r in range(1, 101)})
+    path.write_text(json.dumps({"name": "wb", "sheets": [{"name": "S", "cells": cells}]}))
+
+
+def batch_peak(folder, out):
+    """The traced peak of one CLI run over every workbook in ``folder``."""
+    tracemalloc.start()
+    try:
+        assert main([str(folder / "*.json"), "--out", str(out), *ALL_FORMATS]) == 1
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# spellings of one constant: a batch may hold each in a different workbook
+_SPELLINGS = ["1", "1.0", ".5", "0.50", "5%", "0.05"]
+
+
+@st.composite
+def respelled_batches(draw):
+    """A few workbook documents, each formula holding constants in drawn spellings,
+    and where among them a workbook that fails to load goes."""
+    formula = st.tuples(st.lists(st.sampled_from(_SPELLINGS), min_size=1, max_size=3), st.booleans())
+    documents = []
+    for n in range(draw(st.integers(2, 4))):
+        cells = {}
+        for r, (constants, only) in enumerate(draw(st.lists(formula, max_size=5)), start=1):
+            terms = constants if only else [f"B{r}*{c}" for c in constants]
+            cells[f"A{r}"] = {"f": "=" + "+".join(terms)}
+            cells[f"B{r}"] = {"v": r}
+        documents.append({"name": f"wb{n}", "sheets": [{"name": "S", "cells": cells}]})
+    return documents, draw(st.integers(1, len(documents) - 1))
+
+
+class TestBatchAggregates:
+    def test_batch_holds_one_workbook_at_a_time(self, tmp_path):
+        folders = {}
+        for count in (3, 30):
+            folders[count] = tmp_path / f"batch{count}"
+            folders[count].mkdir()
+            for i in range(count):
+                write_formula_workbook(folders[count] / f"wb{i:02d}.json")
+        batch_peak(folders[3], tmp_path / "warm")
+        few, many = (batch_peak(folders[n], tmp_path / f"out{n}") for n in (3, 30))
+        assert many <= 2 * few
+
+    @settings(max_examples=30, deadline=None)
+    @given(respelled_batches())
+    def test_summary_and_histogram_equal_one_call_over_whole_reports(self, batch):
+        documents, failed_at = batch
+        with tempfile.TemporaryDirectory() as tmp:
+            folder = Path(tmp) / "in"
+            folder.mkdir()
+            paths = [folder / f"wb{i}.json" for i in range(len(documents) + 1)]
+            paths[failed_at] = paths[failed_at].with_suffix(".xlsx")
+            paths[failed_at].write_bytes(b"not a ZIP package")
+            for path, document in zip(paths[:failed_at] + paths[failed_at + 1 :], documents):
+                path.write_text(json.dumps(document))
+            out = Path(tmp) / "out"
+            assert main([str(folder / "*"), "--out", str(out), *ALL_FORMATS]) == 2
+
+            config = build_config(RunOptions(inputs=[], output_dir=out))
+            whole = [
+                analyze_workbook(load_json(path), config)
+                if path.suffix == ".json"
+                else AnalysisReport(path.name, str(path), 0, 0, 0, 0, error="not a ZIP package")
+                for path in paths
+            ]
+            histogram = constant_histogram(whole)
+            for fmt, ext in ((Format.TEXT, "txt"), (Format.CSV, "csv"), (Format.JSON, "json")):
+                expected = render_histogram(histogram, fmt).body
+                assert (out / f"constants.{ext}").read_bytes() == expected
+                expected = render_batch_summary(whole, fmt).body
+                assert (out / f"summary.{ext}").read_bytes() == expected
 
 
 # names every DetectionConfig field, each set away from its default

@@ -114,7 +114,7 @@ GOLDEN = {
     "errors/constants.txt": "c5cfb102f053819508950fee0509b4f25dbdb93bb0b822c414443f0c25305106",
     "errors/summary.csv": "b00d15164cf784a162c2129c99761c83658d811f91f349be5f36877ea00972b6",
     "errors/summary.json": "0c64b9b9d02e839708584a94bd33a66b9eb104759fc965af559784afea56ef44",
-    "errors/summary.txt": "b11bf52990548b1b200fefaf16e9031304948d30b49ed13a607b4c459fb77924",
+    "errors/summary.txt": "ec13c08ffed1f428532cd5f0660f95dbeb57d61ed6cb7aec144139d4b27167ed",
     "errors/table3.findings.csv": "92517a650d8668f341f2e10ccde3c97b2a70b28e74f6d21c1c5087bae40ee5a5",
     "errors/table3.findings.json": "42569e55061f8fc44cd2b8ff1fad716d570bcee7fd36deb3ea72e6445379a546",
     "errors/table3.findings.txt": "4dde6bf8a33795b99cc2a3c30cfbda28ffd17d6aa7f8b5b4490306d9414ccd8e",

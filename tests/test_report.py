@@ -473,6 +473,16 @@ class TestBatchSummary:
         body = render_batch_summary(reports, Format.TEXT).body.decode()
         assert "ERROR: not a ZIP package" in body
 
+    def test_error_message_sets_no_column_width(self):
+        message = "/sheets/0/cells/a1: keys 'A1' and 'a1' name the same cell!!!"
+        assert len(message) == 60
+        reports = summary_reports() + [AnalysisReport("keys.json", "k", 0, 0, 0, 0, error=message)]
+        body = render_batch_summary(reports, Format.TEXT).body.decode()
+        header = body.splitlines()[1]
+        start = header.index("# worksheets")
+        assert header.index("# formulas") == start + len("# worksheets  ")
+        assert f"ERROR: {message}" in body
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(batch_reports, min_size=1, max_size=4))
     def test_json_layout_is_the_stdlib_indent_layout(self, reports):
