@@ -7,7 +7,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .addresses import (
     A1,
@@ -176,11 +176,16 @@ def _require_keys(obj: dict, allowed: set[str], location: str) -> None:
 
 
 def workbook_from_document(doc: object, source_path: str = "") -> Workbook:
-    """The workbook a JSON interchange document describes.
+    """The workbook a JSON interchange document describes; ``doc`` is left as it is.
 
     Each cell key is parsed once: every sheet that uses it shares one
-    ``CellAddress`` and one ``(row, column)`` cells-dict key for it.
+    ``CellAddress`` and one ``(row, column)`` cells-dict key for it, and
+    every cell with one formula text shares one string.
     """
+    return _workbook(doc, source_path, iter)
+
+
+def _workbook(doc: object, source_path: str, each: Callable[[list], Iterable]) -> Workbook:
     if not isinstance(doc, dict):
         raise SchemaError("", "document must be an object")
     _require_keys(doc, _WORKBOOK_KEYS, "")
@@ -194,8 +199,10 @@ def workbook_from_document(doc: object, source_path: str = "") -> Workbook:
     if not isinstance(raw_sheets, list):
         raise SchemaError("/sheets", "must be an array")
     parse = address_memo()
+    share = {}.setdefault
     sheets = tuple(
-        _sheet_from_document(raw, f"/sheets/{i}", parse) for i, raw in enumerate(raw_sheets)
+        _sheet_from_document(raw, f"/sheets/{i}", parse, share)
+        for i, raw in enumerate(each(raw_sheets))
     )
     try:
         return Workbook(name=name, source_path=source_path, sheets=sheets, ref_style=ref_style)
@@ -203,7 +210,14 @@ def workbook_from_document(doc: object, source_path: str = "") -> Workbook:
         raise SchemaError("/sheets", str(exc)) from None
 
 
-def _sheet_from_document(raw: object, location: str, parse: AddressMemo) -> Sheet:
+def _drained(items: list) -> Iterator:
+    """The items of a list the caller owns, in order, each taken out of it as it is given."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
+def _sheet_from_document(raw: object, location: str, parse: AddressMemo, share: Callable) -> Sheet:
     if not isinstance(raw, dict):
         raise SchemaError(location, "sheet must be an object")
     _require_keys(raw, _SHEET_KEYS, location)
@@ -237,6 +251,7 @@ def _sheet_from_document(raw: object, location: str, parse: AddressMemo) -> Shee
                 raise SchemaError(f"{location}/cells/{key}/f", "formula must be a string")
             if not formula.startswith("="):
                 formula = "=" + formula
+            formula = share(formula, formula)
         if value is not None:
             if not isinstance(value, (int, float, str, bool)):
                 raise SchemaError(f"{location}/cells/{key}/v", "value must be a scalar")
@@ -302,5 +317,5 @@ def load_json(path: str | Path) -> Workbook:
             raise SchemaError("", "JSON nested too deeply") from None
         except UnicodeDecodeError as exc:
             raise SchemaError("", f"not UTF-8 text: {exc}") from None
-    return workbook_from_document(doc, source_path=str(path))
+    return _workbook(doc, str(path), _drained)  # each raw sheet goes once its cells are built
 

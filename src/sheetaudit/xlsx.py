@@ -14,6 +14,8 @@ import math
 import re
 import zipfile
 import zlib
+from collections.abc import Callable, Iterator
+from contextlib import closing
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -35,8 +37,11 @@ _VISIBILITY = {
 }
 
 
-# tags read per cell, as Clark names: a prefixed find() sorts the namespace map per call
-_C, _F, _V, _IS, _T = ("{%s}%s" % (_NS["main"], tag) for tag in ("c", "f", "v", "is", "t"))
+# tags read, as Clark names: a prefixed find() sorts the namespace map per call
+_C, _F, _V, _IS, _T, _SI, _ROW, _COL, _MERGE_CELL, _SHEET = (
+    "{%s}%s" % (_NS["main"], tag) for tag in "c f v is t si row col mergeCell sheet".split()
+)
+_RELATIONSHIP = "{%s}Relationship" % _NS["rel"]
 # a finite decimal or scientific <v> number, not Python's wider syntax (1_000, " 7 ", nan)
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 # a shared-string, row or column index: ASCII digits only, not int()'s wider syntax
@@ -44,10 +49,10 @@ _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 _INDEX_RE = re.compile(r"[0-9]{1,9}")
 _BOOLEANS = {"0": False, "1": True, "false": False, "true": True}
 
-# The most bytes one package member may inflate to.  A few kilobytes of
-# deflated data can inflate to gigabytes, so a member past this is an
-# error, not a read that exhausts memory; the parsed tree of a member
-# takes several times its size again.
+# The most bytes one package member may inflate to.  A few kilobytes of deflated
+# data can inflate to gigabytes, so a member past this is an error.  The cap bounds
+# the bytes inflated; memory is bounded by a row, since each part is parsed as it
+# inflates and each row is let go once its cells are read.
 MAX_MEMBER_BYTES = 256 * 1024 * 1024
 
 
@@ -65,7 +70,7 @@ def load_xlsx(path: str | Path) -> Workbook:
         raise FormatError("not a ZIP package") from None
     with archive:
         try:
-            workbook_xml = _read_xml(archive, "xl/workbook.xml")
+            sheet_elems = [e for e in _parse(archive, "xl/workbook.xml", 2) if e.tag == _SHEET]
         except KeyError:
             raise FormatError("missing xl/workbook.xml") from None
         rels = _read_relationships(archive)
@@ -73,7 +78,7 @@ def load_xlsx(path: str | Path) -> Workbook:
 
         sheets = []
         parse = address_memo()  # one address and coords per distinct reference, as in model
-        sheet_elems = workbook_xml.findall("main:sheets/main:sheet", _NS)
+        share = {}.setdefault  # and one string per distinct formula text
         if not sheet_elems:
             raise FormatError("workbook part declares no sheets")
         for elem in sheet_elems:
@@ -83,9 +88,9 @@ def load_xlsx(path: str | Path) -> Workbook:
                 raise FormatError(f"sheet {name!r}: no worksheet part")
             visibility = _VISIBILITY.get(elem.get("state"), SheetVisibility.VISIBLE)
             try:
-                sheet_xml = _read_xml(archive, target)
-                sheets.append(_read_sheet(sheet_xml, name, visibility, shared, parse))
-            except (KeyError, ValueError) as exc:  # only _read_xml raises a KeyError
+                with closing(_parse(archive, target, 2)) as xml:  # closed if a cell fails
+                    sheets.append(Sheet(name, visibility, *_read_sheet(xml, shared, parse, share)))
+            except (KeyError, ValueError) as exc:  # only _parse raises a KeyError
                 problem = f"missing part {target}" if isinstance(exc, KeyError) else exc
                 raise FormatError(f"sheet {name!r}: {problem}") from None
 
@@ -95,109 +100,112 @@ def load_xlsx(path: str | Path) -> Workbook:
         raise FormatError(str(exc)) from None
 
 
-def _read_xml(archive: zipfile.ZipFile, member: str) -> ElementTree.Element:
+def _parse(archive: zipfile.ZipFile, member: str, depth: int) -> Iterator[ElementTree.Element]:
+    """Each element ``depth`` levels below the member's root, given at its end, as the member
+    inflates, and let go with the next.  ``KeyError`` if missing; any fault is a ``FormatError``."""
+    builder = ElementTree.TreeBuilder()
+    top = builder.start("", {})  # the root's parent: a handle on the tree as it grows
+    parser = ElementTree.XMLParser(target=builder)
+    inflated = 0
     try:
-        # read to the cap and one byte past it: the size the package states can lie
         with archive.open(member) as stream:
-            data = stream.read(MAX_MEMBER_BYTES + 1)
+            while chunk := stream.read(1 << 16):
+                # counted as read: the size the package states can lie
+                if (inflated := inflated + len(chunk)) > MAX_MEMBER_BYTES:
+                    raise FormatError(f"{member}: inflates past {MAX_MEMBER_BYTES:,} bytes")
+                try:
+                    parser.feed(chunk)
+                finally:  # what ended before a fault in the XML is read before the fault
+                    yield from _ended(top, depth + 1, False)
+        parser.close()
+        yield from _ended(top, depth + 1, True)
+    except (FormatError, KeyError):  # KeyError is a LookupError
+        raise
     # a bad CRC, a corrupt or truncated stream, an unknown compression, encryption
     except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError) as exc:
         raise FormatError(f"{member}: unreadable member ({str(exc) or 'truncated'})") from None
-    if len(data) > MAX_MEMBER_BYTES:
-        raise FormatError(f"{member}: inflates past {MAX_MEMBER_BYTES:,} bytes")
-    try:
-        return ElementTree.fromstring(data)
     # an XML declaration naming an unknown or a multi-byte encoding raises LookupError or ValueError
     except (ElementTree.ParseError, LookupError, ValueError) as exc:
         raise FormatError(f"{member}: malformed XML ({exc})") from None
 
 
+def _ended(parent: ElementTree.Element, depth: int, done: bool) -> Iterator[ElementTree.Element]:
+    """The elements ``depth`` levels below ``parent`` that have ended; the last child of an
+    element that has not may still be open.  Each is let go once given."""
+    whole = len(parent) if done else len(parent) - 1
+    if depth == 1:
+        yield from parent[:whole]
+        del parent[:whole]
+    else:
+        for i, child in enumerate(parent):
+            yield from _ended(child, depth - 1, i < whole)
+
+
 def _read_relationships(archive: zipfile.ZipFile) -> dict[str, str]:
     try:
-        root = _read_xml(archive, "xl/_rels/workbook.xml.rels")
+        items = _parse(archive, "xl/_rels/workbook.xml.rels", 1)
+        rels = [(rel.get("Id"), rel.get("Target", "")) for rel in items if rel.tag == _RELATIONSHIP]
     except KeyError:
         return {}
-    rels = {}
-    for rel in root.findall("rel:Relationship", _NS):
-        target = rel.get("Target", "")
-        if target.startswith("/"):
-            target = target.lstrip("/")
-        else:
-            target = "xl/" + target
-        rels[rel.get("Id")] = target
-    return rels
+    return {key: t.lstrip("/") if t.startswith("/") else "xl/" + t for key, t in rels}
 
 
 def _read_shared_strings(archive: zipfile.ZipFile) -> list[str]:
     try:
-        root = _read_xml(archive, "xl/sharedStrings.xml")
+        items = _parse(archive, "xl/sharedStrings.xml", 1)
+        return ["".join(t.text or "" for t in si.iter(_T)) for si in items if si.tag == _SI]
     except KeyError:
         return []
-    return ["".join(t.text or "" for t in si.iter(_T)) for si in root.findall("main:si", _NS)]
 
 
 def _read_sheet(
-    root: ElementTree.Element,
-    name: str,
-    visibility: SheetVisibility,
-    shared: list[str],
-    parse: AddressMemo,
-) -> Sheet:
+    xml: Iterator[ElementTree.Element], shared: list[str], parse: AddressMemo, share: Callable
+) -> tuple[dict[tuple[int, int], Cell], tuple[Rectangle, ...], frozenset[int], frozenset[int]]:
+    """A ``Sheet``'s fields after its name and visibility."""
     merged: list[Rectangle] = []
-    for mc in root.findall("main:mergeCells/main:mergeCell", _NS):
-        ref = mc.get("ref")
-        if ref:
-            merged.append(parse_range(ref))
-
     hidden_rows = set()
     hidden_cols = set()
-    for col in root.findall("main:cols/main:col", _NS):
-        if col.get("hidden") in ("1", "true"):
-            first = _index_attr(col, "min", MAX_COLUMNS)
-            last = _index_attr(col, "max", MAX_COLUMNS)
-            hidden_cols.update(range(first, last + 1))
-
     # shared-formula masters, keyed by si attribute
     shared_formulas: dict[str, str] = {}
     cells: dict[tuple[int, int], Cell] = {}
     # a <row> or <c> without r (it is optional) sits one past the one before, as openpyxl reads it
     row_number = 0
-    for row in root.findall("main:sheetData/main:row", _NS):
-        row_number = _index_attr(row, "r", MAX_ROWS, absent=row_number + 1)
-        if row.get("hidden") in ("1", "true"):
-            hidden_rows.add(row_number)
-        column = 0
-        for c in row.findall(_C):
-            ref = c.get("r") or f"{column_to_letters(column + 1)}{row_number}"
-            try:
-                address, coords = parse(ref)
-            except AddressError:
-                raise ValueError(f"bad cell reference {ref!r}") from None
-            column = coords[1]
-            try:
-                formula, value = _read_cell_content(c, shared, shared_formulas)
-            except ValueError as exc:
-                raise ValueError(f"cell {ref}: {exc}") from None
-            if formula is None and value is None:
-                continue
-            if coords in cells:
-                earlier = cells[coords].address.render()
-                raise ValueError(f"cells {earlier!r} and {ref!r} are the same cell")
-            # content is present and a formula carries its "=", so skip Cell.__new__'s checks
-            cells[coords] = tuple.__new__(Cell, (address, formula, value))
+    for elem in xml:  # a valid worksheet has these in sheetData, cols and mergeCells
+        if elem.tag == _ROW:
+            row_number = _index_attr(elem, "r", MAX_ROWS, absent=row_number + 1)
+            if elem.get("hidden") in ("1", "true"):
+                hidden_rows.add(row_number)
+            column = 0
+            for c in elem.findall(_C):
+                ref = c.get("r") or f"{column_to_letters(column + 1)}{row_number}"
+                try:
+                    address, coords = parse(ref)
+                except AddressError:
+                    raise ValueError(f"bad cell reference {ref!r}") from None
+                column = coords[1]
+                try:
+                    formula, value = _read_cell_content(c, shared, shared_formulas, share)
+                except ValueError as exc:
+                    raise ValueError(f"cell {ref}: {exc}") from None
+                if formula is None and value is None:
+                    continue
+                if coords in cells:
+                    earlier = cells[coords].address.render()
+                    raise ValueError(f"cells {earlier!r} and {ref!r} are the same cell")
+                # content is present and a formula carries its "=", so skip Cell.__new__'s checks
+                cells[coords] = tuple.__new__(Cell, (address, formula, value))
+        elif elem.tag == _COL and elem.get("hidden") in ("1", "true"):
+            first = _index_attr(elem, "min", MAX_COLUMNS)
+            last = _index_attr(elem, "max", MAX_COLUMNS)
+            hidden_cols.update(range(first, last + 1))
+        elif elem.tag == _MERGE_CELL and (ref := elem.get("ref")):
+            merged.append(parse_range(ref))
 
-    return Sheet(
-        name=name,
-        visibility=visibility,
-        cells=cells,
-        merged_regions=tuple(merged),
-        hidden_rows=frozenset(hidden_rows),
-        hidden_cols=frozenset(hidden_cols),
-    )
+    return cells, tuple(merged), frozenset(hidden_rows), frozenset(hidden_cols)
 
 
 def _read_cell_content(
-    c: ElementTree.Element, shared: list[str], shared_formulas: dict[str, str]
+    c: ElementTree.Element, shared: list[str], shared_formulas: dict[str, str], share: Callable
 ) -> tuple[str | None, Scalar | None]:
     # one walk over the children; the first of each tag wins, as in find()
     children = {child.tag: child for child in reversed(c)}
@@ -210,14 +218,15 @@ def _read_cell_content(
             if body:
                 shared_formulas[si] = body
             else:
-                # follower of a shared formula; reuse the master text
-                # (references are not re-based, which is fine for a
-                # constant audit)
+                # a follower of a shared formula gets its master's text, not re-based to
+                # its own cell: a known defect (ROADMAP item 2), by which 216 cells read
+                # wrong on the unique-xlsx benchmark at seed 11
                 body = shared_formulas.get(si)
                 if body is None:
                     raise ValueError(f"shared formula si={si!r} has no master")
         if body:
             formula = "=" + body
+            formula = share(formula, formula)
 
     value: Scalar | None = None
     cell_type = c.get("t", "n")
@@ -234,7 +243,7 @@ def _read_cell_content(
         elif cell_type == "b":
             if (value := _BOOLEANS.get(raw)) is None:
                 raise ValueError(f"bad boolean {raw!r}")
-        elif cell_type in ("str", "e"):
+        elif cell_type in ("str", "e", "d"):
             value = raw
         else:
             value = _parse_number(raw)

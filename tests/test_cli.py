@@ -277,9 +277,11 @@ class TestExitCodes:
         monkeypatch.setattr(xlsx, "MAX_MEMBER_BYTES", 4096)
         rows = '<row r="1"><c r="A1"><f>B1/12</f><v>4</v></c></row>'
         build_xlsx(tmp_path / "good.xlsx", [{"name": "S", "rows": rows}])
-        # about 16 KB of worksheet that deflates to a few hundred bytes
-        rows = "".join(f'<row r="{r}"><c r="A{r}"><v>1</v></c></row>' for r in range(1, 400))
-        build_xlsx(tmp_path / "big.xlsx", [{"name": "S", "rows": rows}])
+        # about 16 KB of worksheet, or of shared strings, that deflates to a few hundred bytes
+        big = "".join(f'<row r="{r}"><c r="A{r}"><v>1</v></c></row>' for r in range(1, 400))
+        build_xlsx(tmp_path / "big.xlsx", [{"name": "S", "rows": big}])
+        strings = [f"text {n}" for n in range(800)]
+        build_xlsx(tmp_path / "strings.xlsx", [{"name": "S", "rows": rows}], strings)
         code = main(
             [str(tmp_path / "*.xlsx"), "--out", str(tmp_path / "out"), "--format", "json"]
         )
@@ -288,6 +290,7 @@ class TestExitCodes:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         errors = {row["workbook_name"]: row["error"] for row in summary["rows"]}
         assert "xl/worksheets/sheet1.xml: inflates past 4,096 bytes" in errors["big.xlsx"]
+        assert errors["strings.xlsx"] == "xl/sharedStrings.xml: inflates past 4,096 bytes"
         assert errors["good.xlsx"] is None
         assert (tmp_path / "out" / "good.findings.json").exists()
 

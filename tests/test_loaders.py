@@ -57,8 +57,10 @@ NUMBERS = st.integers(-(10**20), 10**20) | st.floats(allow_nan=False, allow_infi
 BOOLEANS = st.sampled_from(
     [("b", False, "0"), ("b", True, "1"), ("b", False, "false"), ("b", True, "true")]
 )
+DATES = (st.dates() | st.datetimes()).map(lambda when: ("d", when.isoformat(), None))
 # each cell is (kind, content, extra): a formula body and its cached number or None,
-# a number, a string and its XLSX cell type, or a boolean and its <v> spelling
+# a number, a string and its XLSX cell type, a boolean and its <v> spelling, or a
+# date as ISO 8601 text (t="d"), which JSON holds as a string
 CONTENTS = (
     st.tuples(st.just("f"), FORMULA_BODIES, st.none() | NUMBERS)
     | st.tuples(st.just("n"), NUMBERS, st.none())
@@ -70,6 +72,7 @@ CONTENTS = (
         )
     )
     | BOOLEANS
+    | DATES
 )
 COORDS = st.tuples(st.integers(1, GRID), st.integers(1, GRID))
 
@@ -114,6 +117,8 @@ def _cell_xml(at: str, content: tuple, strings: list[str]) -> str:
         return f'<c r="{at}"><v>{value!r}</v></c>'
     if kind == "b":
         return f'<c r="{at}" t="b"><v>{extra}</v></c>'
+    if kind == "d":
+        return f'<c r="{at}" t="d"><v>{value}</v></c>'
     if extra == "s":
         strings.append(_xml_text(value))
         return f'<c r="{at}" t="s"><v>{len(strings) - 1}</v></c>'

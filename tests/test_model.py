@@ -1,4 +1,6 @@
+import copy
 import json
+import tracemalloc
 
 import pytest
 
@@ -229,6 +231,45 @@ class TestJsonInterchange:
         assert len(addresses) == len(coords) == len(keys)
         for sheet in workbook.sheets:
             assert all(key == cell.address.coords() for key, cell in sheet.cells.items())
+
+    def test_document_is_left_as_it_was(self):
+        doc = workbook_document()
+        before = copy.deepcopy(doc)
+        workbook_from_document(doc)
+        assert doc == before
+
+    def test_cells_with_one_formula_text_share_one_string(self, tmp_path):
+        # json gives each occurrence of a text its own string; "B1*12" gains its "=" here
+        cells = {"A1": {"f": "=B1*12"}, "A2": {"f": "B1*12"}, "A3": {"f": "=C1*2", "v": 4}}
+        doc = {"name": "x", "sheets": [{"name": "S", "cells": cells}, {"name": "T", "cells": cells}]}
+        path = tmp_path / "texts.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for workbook in (workbook_from_document(doc), load_json(path)):
+            texts = [c.formula_text for s in workbook.sheets for c in s.cells.values()]
+            assert sorted(texts) == ["=B1*12"] * 4 + ["=C1*2"] * 2
+            assert len({id(text) for text in texts}) == 2
+
+    def test_load_holds_one_raw_sheet_beside_the_model(self, tmp_path):
+        # twelve sheets of one layout, as a model copies one block of formulas across sheets
+        cells = {
+            f"{'ABCDEFGH'[j % 8]}{j // 8 + 1}": {"f": f"=C{j // 8 + 2}*{j % 10}", "v": j}
+            for j in range(2000)
+        }
+        doc = {"name": "model", "sheets": [{"name": f"S{s}", "cells": cells} for s in range(12)]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        del doc, cells
+        peaks = []
+        for parse in (lambda: json.loads(path.read_text(encoding="utf-8")), lambda: load_json(path)):
+            tracemalloc.start()
+            try:
+                parse()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        document, loaded = peaks
+        # the whole document beside the whole model peaked at 1.27 times the document
+        assert loaded <= 1.1 * document, f"{loaded:,} bytes against {document:,}"
 
 
 class TestModelInvariants:

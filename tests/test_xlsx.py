@@ -1,5 +1,10 @@
+import tracemalloc
+import zipfile
+
 import pytest
 
+from sheetaudit import xlsx
+from sheetaudit.addresses import address_memo
 from sheetaudit.detect import DetectionConfig, FindingKind, analyze_workbook
 from sheetaudit.model import SheetVisibility, WarningKind
 from sheetaudit.xlsx import FormatError, load_xlsx
@@ -184,6 +189,39 @@ class TestLoadXlsx:
         assert sheet.cells[(1, 2)].cached_value == "#DIV/0!"
         assert sheet.cells[(1, 3)].formula_text == "=CONCAT(A1)"
 
+    def test_date_cell_is_text_and_no_finding(self, tmp_path):
+        # ECMA-376 Part 1 §18.18.11: t="d" holds an ISO 8601 date, which is no number;
+        # a date stored as a serial number (t="n") stays a numeric entry
+        rows = '<row r="1"><c r="A1" t="d"><v>2024-01-31T00:00:00</v></c></row>'
+        workbook = load_xlsx(build_xlsx(tmp_path / "d.xlsx", [{"name": "S", "rows": rows}]))
+        assert workbook.sheets[0].cells[(1, 1)].cached_value == "2024-01-31T00:00:00"
+        assert analyze_workbook(workbook, DetectionConfig()).findings == ()
+
+    def test_cells_with_one_formula_text_share_one_string(self, tmp_path):
+        rows = (
+            '<row r="1"><c r="A1"><f>B1*12</f></c>'
+            '<c r="B1"><f t="shared" ref="B1:B3" si="0">C1*2</f></c></row>'
+            '<row r="2"><c r="A2"><f>B1*12</f></c><c r="B2"><f t="shared" si="0"/></c></row>'
+            '<row r="3"><c r="B3"><f t="shared" si="0"/></c></row>'
+        )
+        again = '<row r="1"><c r="A1"><f>B1*12</f></c><c r="B1"><f>C1*2</f></c></row>'
+        sheets = [{"name": "S", "rows": rows}, {"name": "T", "rows": again}]
+        workbook = load_xlsx(build_xlsx(tmp_path / "texts.xlsx", sheets))
+        texts = [c.formula_text for s in workbook.sheets for c in s.cells.values()]
+        assert sorted(texts) == ["=B1*12"] * 3 + ["=C1*2"] * 4
+        assert len({id(text) for text in texts}) == 2
+
+    def test_first_fault_in_document_order_is_the_one_reported(self, tmp_path):
+        bad_cell = '<row r="1"><c r="A1"><v>x</v></c></row>'
+        # a merge after sheetData, and XML that breaks after the cell, are read after it
+        for sheet in (
+            {"rows": bad_cell, "merged": ["A1:ZZ"]},
+            {"rows": bad_cell + "<row r='2'><c r='A2'><v>1</c></row>"},
+        ):
+            path = build_xlsx(tmp_path / "two.xlsx", [{"name": "S", **sheet}])
+            with pytest.raises(FormatError, match=r"^sheet 'S': cell A1: bad number 'x'$"):
+                load_xlsx(path)
+
     def test_r1c1_ref_mode_detected(self, tmp_path):
         # refMode is how a spreadsheet shows references; the package stores them as A1
         path = build_xlsx(tmp_path / "r1c1.xlsx", [{"name": "S"}], ref_mode_r1c1=True)
@@ -271,3 +309,30 @@ class TestLoadXlsx:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_xlsx(tmp_path / "absent.xlsx")
+
+
+def test_load_holds_a_row_of_the_tree_not_the_whole(tmp_path, monkeypatch):
+    """100,000 cells in one worksheet: what the load holds and then lets go is at
+    most the worksheet's XML (about 16 times it when the whole tree was built)."""
+    cells = "".join(f'<c r="{c}{{0}}"><v>{i}</v></c>' for i, c in enumerate("ABCDEFGHIJ"))
+    rows = "".join(f'<row r="{r}">{cells.format(r)}</row>' for r in range(1, 10_001))
+    path = build_xlsx(tmp_path / "big.xlsx", [{"name": "S", "rows": rows}])
+    with zipfile.ZipFile(path) as archive:
+        size = archive.getinfo("xl/worksheets/sheet1.xml").file_size
+    # the address memo holds an entry per distinct reference until the load returns,
+    # by design (README "Workbook inputs"); kept alive here, it counts as kept
+    memos = []
+
+    def kept_memo():
+        memos.append(address_memo())
+        return memos[-1]
+
+    monkeypatch.setattr(xlsx, "address_memo", kept_memo)
+    tracemalloc.start()
+    try:
+        workbook = load_xlsx(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(sheet.cells) for sheet in workbook.sheets) == 100_000
+    assert peak - kept <= size, f"{peak - kept:,} bytes let go against a {size:,}-byte worksheet"
