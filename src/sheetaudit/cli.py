@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -111,11 +112,12 @@ def build_config(options: RunOptions) -> DetectionConfig:
 
 def _expand_inputs(patterns: list[str], err) -> list[Path]:
     """The matched workbooks in sorted order, each file once under its first spelling."""
-    matched: list[Path] = []
+    matched: list[str] = []
     for pattern in patterns:
-        matched.extend(Path(p) for p in glob.glob(pattern, recursive=True))
+        # a name that exists is that path, even with glob characters in it; only others expand
+        matched += [pattern] if os.path.lexists(pattern) else glob.glob(pattern, recursive=True)
     workbooks: dict[object, Path] = {}
-    for path in sorted(set(matched)):
+    for path in sorted(set(map(Path, matched))):
         if path.suffix.lower() not in _WORKBOOK_SUFFIXES:
             print(f"notice: skipping non-workbook file {path}", file=err)
             continue

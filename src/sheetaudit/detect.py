@@ -33,6 +33,7 @@ from .model import (
     Scalar,
     Workbook,
     audit_metadata,
+    collector_paused,
     parse_range,
 )
 
@@ -242,6 +243,7 @@ def _classify_text(formula: str, config: DetectionConfig, ref_style: str) -> Cla
     return kind, tuple(surviving), ""
 
 
+@collector_paused
 def analyze_workbook(workbook: Workbook, config: DetectionConfig) -> AnalysisReport:
     """Analyze every populated cell, classifying each distinct formula text once.
 

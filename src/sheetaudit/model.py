@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import sys
 from dataclasses import dataclass, field
@@ -23,6 +25,25 @@ from .addresses import (
 )
 
 Scalar = Union[int, float, str, bool]
+
+
+def collector_paused(build: Callable) -> Callable:
+    """``build`` run with the cyclic garbage collector off, and on again after if it was on.
+
+    Safe while what a builder makes or drops holds no reference cycle (``tests/test_model.py``
+    pins it), as a collection in a build would then scan new cells or findings to free nothing.
+    The switch is process-wide: other threads' cyclic garbage is collected after, not lost."""
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():  # a caller's own pause, or an outer build's, is kept
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class SchemaError(ValueError):
@@ -175,6 +196,7 @@ def _require_keys(obj: dict, allowed: set[str], location: str) -> None:
             raise SchemaError(location, f"unknown key {key!r}")
 
 
+@collector_paused
 def workbook_from_document(doc: object, source_path: str = "") -> Workbook:
     """The workbook a JSON interchange document describes; ``doc`` is left as it is.
 
@@ -306,6 +328,7 @@ def _index_set(raw: object, location: str, limit: int) -> frozenset[int]:
     return frozenset(out)
 
 
+@collector_paused
 def load_json(path: str | Path) -> Workbook:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:

@@ -22,6 +22,7 @@ from xml.etree import ElementTree
 from .addresses import MAX_COLUMNS, MAX_ROWS, AddressError, AddressMemo, address_memo
 from .addresses import column_to_letters
 from .model import Cell, Rectangle, Scalar, Sheet, SheetVisibility, Workbook, parse_range
+from .model import collector_paused
 
 _NS = {
     "main": "http://schemas.openxmlformats.org/spreadsheetml/2006/main",
@@ -60,6 +61,7 @@ class FormatError(ValueError):
     """The file is not a valid SpreadsheetML package."""
 
 
+@collector_paused
 def load_xlsx(path: str | Path) -> Workbook:
     """The package's workbook.  An error gets its sheet here and its cell in
     ``_read_sheet``; the helpers below raise a ``ValueError`` with the fact alone."""
@@ -91,7 +93,8 @@ def load_xlsx(path: str | Path) -> Workbook:
                 with closing(_parse(archive, target, 2)) as xml:  # closed if a cell fails
                     sheets.append(Sheet(name, visibility, *_read_sheet(xml, shared, parse, share)))
             except (KeyError, ValueError) as exc:  # only _parse raises a KeyError
-                problem = f"missing part {target}" if isinstance(exc, KeyError) else exc
+                # text, not exc: a local holding exc would tie its traceback to this frame
+                problem = f"missing part {target}" if isinstance(exc, KeyError) else str(exc)
                 raise FormatError(f"sheet {name!r}: {problem}") from None
 
     try:

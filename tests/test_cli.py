@@ -583,6 +583,21 @@ class TestOutputs:
         assert code == 0
         assert "skipping non-workbook file" in capsys.readouterr().err
 
+    def test_an_input_naming_a_file_is_that_file_even_with_glob_characters(self, tmp_path):
+        def audited(run, *inputs):
+            out = tmp_path / "out" / run
+            main([*inputs, "--out", str(out), "--format", "json"])
+            rows = json.loads((out / "summary.json").read_text())["rows"]
+            return [row["workbook_location"] for row in rows]
+
+        named = str(write_fixture(tmp_path / "model[1].json"))
+        assert audited("lone", named) == [named]
+        # beside a file its pattern matches, the named file is still the one audited
+        matched = str(write_clean(tmp_path / "model1.json"))
+        assert audited("beside", named) == [named]
+        # an input that names nothing is still a pattern
+        assert audited("pattern", str(tmp_path / "model[0-9].json")) == [matched]
+
     def test_infinite_constant_in_every_format(self, tmp_path):
         # 1e999 lexes as a constant whose value is inf
         cells = {"A1": {"f": "=A2*1e999"}, "A2": {"v": 2}}

@@ -1,11 +1,16 @@
 import copy
+import gc
 import json
+import sys
+import threading
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from formula_gen import FULL_A1, FormulaGen
 from sheetaudit.addresses import CellAddress
+from sheetaudit.detect import DataRegion, DetectionConfig, analyze_workbook
 from sheetaudit.model import (
     AuditWarning,
     Cell,
@@ -20,7 +25,10 @@ from sheetaudit.model import (
     parse_range,
     workbook_from_document,
 )
+from sheetaudit.report import Format, render_detail
+from sheetaudit.xlsx import FormatError, load_xlsx
 from table3 import workbook_document
+from xlsx_builder import build_xlsx
 
 
 def make_cell(row, col, formula=None, value=None):
@@ -284,3 +292,158 @@ class TestModelInvariants:
     def test_rectangle_corner_order(self):
         with pytest.raises(ValueError):
             Rectangle(CellAddress(row=5, column=5), CellAddress(row=1, column=1))
+
+
+def write_formula_grid(folder, rows, broken=False):
+    """A workbook of ``rows`` numbers beside two formulas each, with a hidden sheet, a merge
+    and a hidden row, as JSON and as XLSX; a ``broken`` one's last number is not a number."""
+    numbers = {f"A{r}": r for r in range(1, rows + 1)}
+    formulas = {}
+    for r in range(1, rows + 1):
+        formulas[f"B{r}"] = f"A{r}*1.5+{r}"
+        formulas[f"C{r}"] = f"SUM(A$1:A{r})/12"
+    cells = {key: {"v": v} for key, v in numbers.items()}
+    cells.update({key: {"f": "=" + text} for key, text in formulas.items()})
+    if broken:
+        cells[f"A{rows}"], numbers[f"A{rows}"] = {"v": ["x"]}, "x"
+    sheets = [
+        {"name": "Data", "cells": cells, "merged": ["D1:E2"], "hidden_rows": [3]},
+        {"name": "Notes", "visibility": "hidden", "cells": {"A1": {"v": "kept"}}},
+    ]
+    json_path = folder / f"grid{rows}.json"
+    json_path.write_text(json.dumps({"name": "grid", "sheets": sheets}), encoding="utf-8")
+    xml_rows = []
+    for r in range(1, rows + 1):
+        hidden = ' hidden="1"' if r == 3 else ""
+        xml_rows.append(
+            f'<row r="{r}"{hidden}><c r="A{r}"><v>{numbers[f"A{r}"]}</v></c>'
+            f'<c r="B{r}"><f>{formulas[f"B{r}"]}</f></c>'
+            f'<c r="C{r}"><f>{formulas[f"C{r}"]}</f></c></row>'
+        )
+    notes = '<row r="1"><c r="A1" t="s"><v>0</v></c></row>'
+    xlsx_path = build_xlsx(
+        folder / f"grid{rows}.xlsx",
+        [
+            {"name": "Data", "rows": "".join(xml_rows), "merged": ["D1:E2"]},
+            {"name": "Notes", "state": "hidden", "rows": notes},
+        ],
+        shared_strings=["kept"],
+    )
+    return json_path, xlsx_path
+
+
+class TestCollectorPause:
+    """The loaders and the analysis run with the cyclic collector paused, which is safe
+    because nothing they build, or drop on an error, is left for it to free."""
+
+    def test_no_collection_starts_inside_a_load_or_an_analysis(self, tmp_path):
+        assert gc.isenabled()
+        paths = write_formula_grid(tmp_path, 10_000)
+        builders = (load_json, load_xlsx, analyze_workbook)
+        bodies = {getattr(b, "__wrapped__", b).__code__: b.__name__ for b in builders}
+        started_in = []
+
+        def note(phase, info):
+            # an automatic collection runs on the stack of the code whose allocation set it off
+            frame = sys._getframe(1)
+            while phase == "start" and frame is not None:
+                if frame.f_code in bodies:
+                    started_in.append(bodies[frame.f_code])
+                    break
+                frame = frame.f_back
+
+        gc.callbacks.append(note)
+        try:
+            for path, load in zip(paths, (load_json, load_xlsx)):
+                workbook = load(path)
+                assert gc.isenabled()
+                report = analyze_workbook(workbook, DetectionConfig())
+                assert gc.isenabled()
+                assert report.formula_count == 20_000
+        finally:
+            gc.callbacks.remove(note)
+        assert not started_in, Counter(started_in)
+
+    def test_the_collector_is_restored_after_a_build_or_its_error(self, tmp_path):
+        json_path, xlsx_path = write_formula_grid(tmp_path, 3)
+        bad_json, bad_xlsx = write_formula_grid(tmp_path, 4, broken=True)
+        (tmp_path / "broken.json").write_text("{", encoding="utf-8")
+        config = DetectionConfig()
+        builds = [
+            lambda: analyze_workbook(load_json(json_path), config),
+            lambda: analyze_workbook(load_xlsx(xlsx_path), config),
+            lambda: workbook_from_document(workbook_document()),
+        ]
+        failures = [
+            (lambda: load_json(bad_json), SchemaError),
+            (lambda: load_json(tmp_path / "broken.json"), SchemaError),
+            (lambda: workbook_from_document([]), SchemaError),
+            (lambda: load_xlsx(bad_xlsx), FormatError),
+        ]
+        for was_on in (True, False):
+            if not was_on:
+                gc.disable()
+            try:
+                for build in builds:
+                    build()
+                    assert gc.isenabled() is was_on
+                for fail, error in failures:
+                    with pytest.raises(error):
+                        fail()
+                    assert gc.isenabled() is was_on
+            finally:
+                gc.enable()
+
+    def test_threads_building_at_once_leave_the_collector_on(self, tmp_path):
+        # each thread that turned the collector off turns it on again, so the last switch is on
+        json_path, xlsx_path = write_formula_grid(tmp_path, 20)
+        done = []
+
+        def build(load, path):
+            for _ in range(30):
+                analyze_workbook(load(path), DetectionConfig())
+            done.append(load)
+
+        threads = [
+            threading.Thread(target=build, args=pair)
+            for pair in [(load_json, json_path), (load_xlsx, xlsx_path)] * 3
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(done) == len(threads)
+        assert gc.isenabled()
+
+    def test_nothing_built_or_dropped_is_left_for_the_collector(self, tmp_path):
+        # the premise of the pause: a parent pointer or a kept traceback would fail this
+        good = write_formula_grid(tmp_path, 200)
+        bad = write_formula_grid(tmp_path, 201, broken=True)
+        table3 = tmp_path / "table3.json"
+        table3.write_text(json.dumps(workbook_document()), encoding="utf-8")
+        gc.disable()
+        try:
+            gc.collect()
+            build_and_drop([*zip(good, (load_json, load_xlsx)), (table3, load_json)], bad)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def build_and_drop(loads, bad):
+    config = DetectionConfig(data_regions=(DataRegion("Data", parse_range("A1:A100")),))
+    for path, load in loads:
+        report = analyze_workbook(load(path), config)
+        for fmt in Format:
+            render_detail(report, fmt)
+    for path, load, error in zip(bad, (load_json, load_xlsx), (SchemaError, FormatError)):
+        try:
+            load(path)
+        except error:
+            pass
