@@ -139,12 +139,17 @@ def _report_stems(paths: list[Path]) -> list[str]:
     as a case-insensitive file system compares), ``<stem>-<n>`` for the least free n >= 2."""
     inputs = {path.stem.casefold() for path in paths}
     used: set[str] = set()
+    # the n each case-folded stem last took: used only grows, so no lesser n is free again
+    last: dict[str, int] = {}
     stems = []
     for path in paths:
-        stem, n = path.stem, 1
+        folded = path.stem.casefold()
+        n = last.get(folded, 0) + 1
+        stem = path.stem if n == 1 else f"{path.stem}-{n}"
         while stem.casefold() in used or (n > 1 and stem.casefold() in inputs):
             n += 1
             stem = f"{path.stem}-{n}"
+        last[folded] = n
         used.add(stem.casefold())
         stems.append(stem)
     return stems

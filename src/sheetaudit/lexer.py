@@ -85,10 +85,27 @@ _WORD = r"[A-Za-z_][A-Za-z0-9_.]*"
 _REF_END = r"(?![A-Za-z0-9_.$])"
 
 
-def _grammar(ref_style: str) -> re.Pattern:
-    """One rule per token kind, tried in table order at each position.
+# Fault rules, each with its LexError message.  They follow every token rule,
+# so one matches only where no token does.  The last matches any character:
+# every position then matches some rule, and finditer never searches ahead
+# past a fault.
+_FAULT_RULES = (
+    ("open_string", '"', "unterminated string literal"),
+    ("bad_error", "#", "unknown error literal starting '#'"),
+    ("bad_dollar", r"\$", "'$' does not start a cell reference"),
+    ("unqualified_sheet", r"'(?=(?:[^']|'')*'(?!'))", "quoted sheet name not followed by '!'"),
+    ("open_sheet", "'", "unterminated quoted sheet name"),
+    ("illegal", r"[\s\S]", None),  # its message quotes the character
+)
+_FAULTS = {name: message for name, _, message in _FAULT_RULES}
 
-    Each rule is a named group, so a match's ``lastgroup`` names its kind.
+
+def _grammar(ref_style: str) -> re.Pattern:
+    """One rule per token kind, then the fault rules, tried in table order
+    at each position.
+
+    Each rule is a named group, so a match's ``lastgroup`` names its kind
+    or its fault.
     """
     ref = _REF_PATTERNS[ref_style]
 
@@ -124,17 +141,13 @@ def _grammar(ref_style: str) -> re.Pattern:
         (TokenKind.BOOLEAN_LITERAL, r"(?ai:TRUE|FALSE)(?![A-Za-z0-9_.])"),
         (TokenKind.IDENTIFIER, _WORD),
     ]
-    return re.compile("|".join(f"(?P<{kind.name}>{pattern})" for kind, pattern in rules))
+    tokens = "|".join(f"(?P<{kind.name}>{pattern})" for kind, pattern in rules)
+    faults = "|".join(f"(?P<{name}>{pattern})" for name, pattern, _ in _FAULT_RULES)
+    return re.compile(f"{tokens}|{faults}")
 
 
 _GRAMMARS = {style: _grammar(style) for style in (A1, R1C1)}
 _KINDS = TokenKind.__members__
-_CLOSED_SHEET_RE = re.compile(r"'(?:[^']|'')*'(?!')")
-_ERROR_MESSAGES = {
-    '"': "unterminated string literal",
-    "#": "unknown error literal starting '#'",
-    "$": "'$' does not start a cell reference",
-}
 
 
 def tokenize(formula_text: str, ref_style: str = A1) -> list[Token]:
@@ -146,14 +159,11 @@ def tokenize(formula_text: str, ref_style: str = A1) -> list[Token]:
     """
     text = formula_text
     tokens: list[Token] = []
-    pos = 0
-    # no rule matches the empty string, so a match that starts past pos
-    # means no rule matched at pos
     for m in _GRAMMARS[R1C1 if ref_style == R1C1 else A1].finditer(text):
-        if m.start() != pos:
-            raise _lex_error(text, pos)
-        kind = _KINDS[m.lastgroup]
-        end = m.end()
+        kind = _KINDS.get(m.lastgroup)
+        if kind is None:
+            raise LexError(_FAULTS[m.lastgroup] or f"illegal character {m.group()!r}", m.start())
+        start, end = m.span()
         value = None
         if kind is TokenKind.NUMERIC_LITERAL:
             value = float(m.group())
@@ -162,21 +172,8 @@ def tokenize(formula_text: str, ref_style: str = A1) -> list[Token]:
             if prev.kind is TokenKind.NUMERIC_LITERAL:
                 tokens[-1] = prev._replace(numeric_value=prev.numeric_value / 100.0)
         # Token has no checks in __new__ to skip, so the tuple is built directly
-        tokens.append(tuple.__new__(Token, (kind, text[pos:end], pos, end, value)))
-        pos = end
-    if pos != len(text):
-        raise _lex_error(text, pos)
+        tokens.append(tuple.__new__(Token, (kind, text[start:end], start, end, value)))
     return tokens
-
-
-def _lex_error(text: str, pos: int) -> LexError:
-    """The error for the first character at pos that no rule matches."""
-    ch = text[pos]
-    if ch == "'":
-        if _CLOSED_SHEET_RE.match(text, pos):
-            return LexError("quoted sheet name not followed by '!'", pos)
-        return LexError("unterminated quoted sheet name", pos)
-    return LexError(_ERROR_MESSAGES.get(ch, f"illegal character {ch!r}"), pos)
 
 
 def extract_constants(tokens: list[Token]) -> list[tuple[float, tuple[int, int]]]:

@@ -167,7 +167,7 @@ def _read_sheet(
     """A ``Sheet``'s fields after its name and visibility."""
     merged: list[Rectangle] = []
     hidden_rows = set()
-    hidden_cols = set()
+    hidden_spans = []  # (min, max) of each hidden <col>, expanded once the sheet is read
     # shared-formula masters, keyed by si attribute
     shared_formulas: dict[str, str] = {}
     cells: dict[tuple[int, int], Cell] = {}
@@ -200,11 +200,21 @@ def _read_sheet(
         elif elem.tag == _COL and elem.get("hidden") in ("1", "true"):
             first = _index_attr(elem, "min", MAX_COLUMNS)
             last = _index_attr(elem, "max", MAX_COLUMNS)
-            hidden_cols.update(range(first, last + 1))
+            hidden_spans.append((first, last))
         elif elem.tag == _MERGE_CELL and (ref := elem.get("ref")):
             merged.append(parse_range(ref))
 
-    return cells, tuple(merged), frozenset(hidden_rows), frozenset(hidden_cols)
+    return cells, tuple(merged), frozenset(hidden_rows), frozenset(_columns(hidden_spans))
+
+
+def _columns(spans: list[tuple[int, int]]) -> list[int]:
+    """Each column in some (min, max) span, once however the spans overlap or abut."""
+    columns: list[int] = []
+    end = 0  # every column in an earlier span is at most end
+    for first, last in sorted(spans):
+        columns.extend(range(max(first, end + 1), last + 1))
+        end = max(end, last)
+    return columns
 
 
 def _read_cell_content(
@@ -222,7 +232,7 @@ def _read_cell_content(
                 shared_formulas[si] = body
             else:
                 # a follower of a shared formula gets its master's text, not re-based to
-                # its own cell: a known defect (ROADMAP item 2), by which 216 cells read
+                # its own cell: a known defect (ROADMAP item 14), by which 216 cells read
                 # wrong on the unique-xlsx benchmark at seed 11
                 body = shared_formulas.get(si)
                 if body is None:

@@ -112,6 +112,14 @@ class TestLoadXlsx:
         path = build_xlsx(tmp_path / "cols.xlsx", [{"name": "S", "cols": cols}])
         assert load_xlsx(path).sheets[0].hidden_cols == frozenset(range(4, 16_385))
 
+    def test_hidden_column_spans_overlap_abut_and_run_backwards(self, tmp_path):
+        spans = [(9, 12), (2, 4), (3, 6), (7, 7), (15, 14), (10, 11), (20, 20), (12, 12)]
+        cols = "".join(f'<col min="{a}" max="{b}" hidden="1"/>' for a, b in spans)
+        cols += '<col min="30" max="31"/>'  # not hidden
+        path = build_xlsx(tmp_path / "spans.xlsx", [{"name": "S", "cols": f"<cols>{cols}</cols>"}])
+        # a span whose min is past its max hides nothing
+        assert load_xlsx(path).sheets[0].hidden_cols == frozenset([*range(2, 8), *range(9, 13), 20])
+
     def test_last_cell_of_the_sheet_loads(self, tmp_path):
         rows = '<row r="1048576"><c r="XFD1048576"><v>7</v></c></row>'
         path = build_xlsx(
