@@ -9,7 +9,6 @@ from .detect import (
     DetectionMode,
     Finding,
     FindingKind,
-    analyze_cell,
     analyze_workbook,
     constant_histogram,
 )

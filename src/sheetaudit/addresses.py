@@ -85,9 +85,6 @@ class CellAddress(_AddressFields):
         # already checked when self was built
         return tuple.__new__(CellAddress, (self.row, self.column, True, True, self.style))
 
-    def coords(self) -> tuple[int, int]:
-        return (self.row, self.column)
-
 
 def parse_address(text: str) -> CellAddress:
     """Parse a bare A1 or absolute R1C1 address (no sheet prefix)."""

@@ -28,7 +28,6 @@ from .lexer import (
 )
 from .model import (
     AuditWarning,
-    Cell,
     Rectangle,
     Scalar,
     Workbook,
@@ -185,23 +184,6 @@ _STRUCTURAL_KINDS = frozenset(
 )
 
 
-def analyze_cell(
-    cell: Cell, sheet_name: str, config: DetectionConfig, ref_style: str = "A1"
-) -> list[Finding]:
-    address, formula, value = cell.address.absolute(), cell.formula_text, cell.cached_value
-    if formula is not None:
-        kind, constants, detail = _classify_text(formula, config, ref_style)
-        if kind is None:
-            return []
-        return [Finding(kind, sheet_name, address, formula, value, constants, detail)]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return []
-    row, col = address.coords()
-    in_region = any(r.contains(sheet_name, row, col) for r in config.data_regions)
-    kind = FindingKind.EXPECTED_INPUT_VALUE if in_region else FindingKind.DIRECT_NUMERIC_ENTRY
-    return [Finding(kind, sheet_name, address, cached_value=value)]
-
-
 # (finding kind or None, surviving constants, detail) for one formula text
 Classification = tuple[FindingKind | None, tuple[ConstantOccurrence, ...], str]
 
@@ -262,8 +244,8 @@ def analyze_workbook(workbook: Workbook, config: DetectionConfig) -> AnalysisRep
     ref_style, regions, new = workbook.ref_style, config.data_regions, tuple.__new__
     for sheet in workbook.sheets:
         name, cells = sheet.name, sheet.cells
-        # analyze_cell's findings, built inline: the only Python-level calls are one classification
-        # per distinct text, one absolute() per address object and numeric entries' region checks
+        # the cell rule, inline: the only Python-level calls are one classification per
+        # distinct text, one absolute() per address object and numeric entries' region checks
         for _, (address, formula, value) in sorted(cells.items()):
             if formula is not None:
                 formula_count += 1

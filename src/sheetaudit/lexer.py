@@ -159,6 +159,7 @@ def tokenize(formula_text: str, ref_style: str = A1) -> list[Token]:
     """
     text = formula_text
     tokens: list[Token] = []
+    divided = None  # index of the literal the last "%" divided, or None
     for m in _GRAMMARS[R1C1 if ref_style == R1C1 else A1].finditer(text):
         kind = _KINDS.get(m.lastgroup)
         if kind is None:
@@ -167,10 +168,15 @@ def tokenize(formula_text: str, ref_style: str = A1) -> list[Token]:
         value = None
         if kind is TokenKind.NUMERIC_LITERAL:
             value = float(m.group())
-        elif kind is TokenKind.PERCENT_SUFFIX and tokens:
-            prev = tokens[-1]
-            if prev.kind is TokenKind.NUMERIC_LITERAL:
-                tokens[-1] = prev._replace(numeric_value=prev.numeric_value / 100.0)
+        elif kind is TokenKind.PERCENT_SUFFIX:
+            # "%" is a postfix operator that repeats: each one in a run after
+            # a literal divides it by 100 again, so 50%% is 0.005
+            last = tokens[-1].kind if tokens else None
+            if last is not TokenKind.PERCENT_SUFFIX:
+                divided = len(tokens) - 1 if last is TokenKind.NUMERIC_LITERAL else None
+            if divided is not None:
+                literal = tokens[divided]
+                tokens[divided] = literal._replace(numeric_value=literal.numeric_value / 100.0)
         # Token has no checks in __new__ to skip, so the tuple is built directly
         tokens.append(tuple.__new__(Token, (kind, text[start:end], start, end, value)))
     return tokens

@@ -34,7 +34,6 @@ class Format(Enum):
 
 @dataclass(frozen=True)
 class RenderedDocument:
-    format: Format
     body: bytes
 
 
@@ -60,7 +59,7 @@ def render_scalar(value: Scalar | None) -> str:
     return str(value)
 
 
-def _document(fmt: Format, pieces: Iterable[str]) -> RenderedDocument:
+def _document(pieces: Iterable[str]) -> RenderedDocument:
     """The one place report text becomes bytes, each piece as it is made.
 
     A lone surrogate (a JSON ``"\\ud800"`` escape, a file name that is not
@@ -75,7 +74,7 @@ def _document(fmt: Format, pieces: Iterable[str]) -> RenderedDocument:
         out.write(exc.object.encode(errors="backslashreplace"))
         out.writelines(piece.encode(errors="backslashreplace") for piece in pieces)
     # the buffer itself, not a copy of it: nothing else holds a view of it
-    return RenderedDocument(fmt, out.getvalue())
+    return RenderedDocument(out.getvalue())
 
 
 def _text_table(rows: list[tuple[str, ...]]) -> Iterator[str]:
@@ -105,7 +104,7 @@ _TEXT_MAX_CONSTANTS = 4
 
 def render_detail(report: AnalysisReport, format: Format) -> RenderedDocument:
     if format is Format.JSON:
-        return _document(format, _detail_json(report))
+        return _document(_detail_json(report))
     r = report
     counts = (r.worksheet_count, r.formula_count, r.hard_coding_count, r.numeric_value_count)
     head = [
@@ -114,8 +113,8 @@ def render_detail(report: AnalysisReport, format: Format) -> RenderedDocument:
     ]
     if format is Format.CSV:
         rows = chain((row + ("",) for row in head), [_DETAIL_HEADER], _detail_rows(report, False))
-        return _document(format, _csv_lines(rows))
-    return _document(format, _detail_text(report, head))
+        return _document(_csv_lines(rows))
+    return _document(_detail_text(report, head))
 
 
 def _detail_rows(report: AnalysisReport, capped: bool) -> Iterator[tuple[str, ...]]:
@@ -335,7 +334,7 @@ def render_batch_summary(reports: list[AnalysisReport], format: Format) -> Rende
             )
             for index, r in rows
         )
-        return _document(format, _rows_json("summary", items))
+        return _document(_rows_json("summary", items))
 
     table, errors = [_SUMMARY_HEADER], []
     for index, r in rows:
@@ -348,10 +347,10 @@ def render_batch_summary(reports: list[AnalysisReport], format: Format) -> Rende
             errors.append(f"#{index}  {message}\n")
         table.append((f"#{index}", r.workbook_name, r.workbook_location, *tail))
     if format is Format.CSV:
-        return _document(format, _csv_lines(table))
+        return _document(_csv_lines(table))
     if errors:
         errors.insert(0, "\nLoad errors\n")
-    return _document(format, chain(["Hard-coding audit summary\n"], _text_table(table), errors))
+    return _document(chain(["Hard-coding audit summary\n"], _text_table(table), errors))
 
 
 # --- constant histogram -----------------------------------------------
@@ -363,6 +362,6 @@ _HISTOGRAM_JSON_ROW = '  {\n   "value": %s,\n   "count": %d\n  }'
 def render_histogram(histogram: list[tuple[float, int]], format: Format) -> RenderedDocument:
     if format is Format.JSON:
         items = (_HISTOGRAM_JSON_ROW % (_json_number(v), count) for v, count in histogram)
-        return _document(format, _rows_json("histogram", items))
+        return _document(_rows_json("histogram", items))
     table = [_HISTOGRAM_HEADER, *((format_number(v), str(count)) for v, count in histogram)]
-    return _document(format, (_csv_lines if format is Format.CSV else _text_table)(table))
+    return _document((_csv_lines if format is Format.CSV else _text_table)(table))

@@ -113,10 +113,10 @@ def test_criterion_5_mode_containment():
         lexical = analyze_workbook(workbook, DetectionConfig())
         heuristic = analyze_workbook(workbook, DetectionConfig(mode=DetectionMode.HEURISTIC))
         flagged_lex = {
-            f.address.coords() for f in lexical.findings if f.kind in CONSTANT_BEARING_KINDS
+            f.address[:2] for f in lexical.findings if f.kind in CONSTANT_BEARING_KINDS
         }
         flagged_heu = {
-            f.address.coords() for f in heuristic.findings if f.kind in CONSTANT_BEARING_KINDS
+            f.address[:2] for f in heuristic.findings if f.kind in CONSTANT_BEARING_KINDS
         }
         violations += len(flagged_heu - flagged_lex)
     assert violations == 0

@@ -57,6 +57,7 @@ def padded(head: str, unit: str, tail: str = "") -> str:
         pytest.param(padded('="', "a"), id="open-string"),
         pytest.param(padded("=", "a"), id="long-word"),
         pytest.param(padded("=", "A1+", "~"), id="references-then-bad-character"),
+        pytest.param(padded("=1", "%"), id="percent-run"),
     ],
 )
 def test_lexing_costs_no_more_than_a_valid_formula_of_its_length(formula):

@@ -12,7 +12,6 @@ from sheetaudit.detect import (
     DetectionConfig,
     DetectionMode,
     FindingKind,
-    analyze_cell,
     analyze_workbook,
     constant_histogram,
 )
@@ -33,73 +32,86 @@ def make_cell(row, col, formula=None, value=None):
     )
 
 
+def cell_findings(cell, sheet_name, config, ref_style="A1"):
+    """analyze_workbook's findings for a workbook that holds only ``cell``.
+
+    One cell has one formula text and one address, so no memo entry is
+    reused: this is the no-memo reference the differential tests compare with.
+    """
+    sheet = Sheet(name=sheet_name, cells={cell.address[:2]: cell})
+    workbook = Workbook(name="cell", sheets=(sheet,), ref_style=ref_style)
+    return list(analyze_workbook(workbook, config).findings)
+
+
 def constant_values(finding):
     return [o.value for o in finding.constants]
 
 
 class TestAnalyzeCell:
+    """The cell rule, one cell at a time: each case runs through ``cell_findings``."""
+
     def test_hard_coded_constant_occurrences(self):
         cell = make_cell(16, 4, formula="=IF(C17*Data!$C$30>200, Data!$C$30*C17, 200)", value=382)
-        [finding] = analyze_cell(cell, "C", DetectionConfig())
+        [finding] = cell_findings(cell, "C", DetectionConfig())
         assert finding.kind is FindingKind.HARD_CODED_CONSTANT
         assert constant_values(finding) == [200, 200]
 
     def test_constant_only_formula(self):
         cell = make_cell(14, 1, formula="=9732311", value=9732311)
-        [finding] = analyze_cell(cell, "ExecSummary", DetectionConfig())
+        [finding] = cell_findings(cell, "ExecSummary", DetectionConfig())
         assert finding.kind is FindingKind.CONSTANT_ONLY_FORMULA
         assert constant_values(finding) == [9732311]
 
     def test_expected_input_value_inside_region(self):
         cell = make_cell(9, 8, value=0.08)
-        [finding] = analyze_cell(cell, "Data", DATA_CONFIG)
+        [finding] = cell_findings(cell, "Data", DATA_CONFIG)
         assert finding.kind is FindingKind.EXPECTED_INPUT_VALUE
 
     def test_direct_entry_outside_region(self):
         cell = make_cell(9, 8, value=0.08)
-        [finding] = analyze_cell(cell, "Outputs", DATA_CONFIG)
+        [finding] = cell_findings(cell, "Outputs", DATA_CONFIG)
         assert finding.kind is FindingKind.DIRECT_NUMERIC_ENTRY
 
     def test_ignored_constant_suppresses_finding(self):
         cell = make_cell(7, 10, formula="=I7*(1-Data!$C$24)")
         config = DetectionConfig(ignore_constants=frozenset({1}))
-        assert analyze_cell(cell, "F", config) == []
+        assert cell_findings(cell, "F", config) == []
 
     def test_unparseable_formula_recorded(self):
         cell = make_cell(1, 1, formula='=A1&"unterminated')
-        [finding] = analyze_cell(cell, "S", DetectionConfig())
+        [finding] = cell_findings(cell, "S", DetectionConfig())
         assert finding.kind is FindingKind.UNPARSEABLE
         assert "unterminated" in finding.detail
 
     def test_text_value_produces_nothing(self):
-        assert analyze_cell(make_cell(1, 1, value="hello"), "S", DetectionConfig()) == []
-        assert analyze_cell(make_cell(1, 1, value=True), "S", DetectionConfig()) == []
+        assert cell_findings(make_cell(1, 1, value="hello"), "S", DetectionConfig()) == []
+        assert cell_findings(make_cell(1, 1, value=True), "S", DetectionConfig()) == []
 
     def test_region_rectangle_restricts_match(self):
         region = DataRegion("Data", parse_range("A1:C10"))
         config = DetectionConfig(data_regions=(region,))
-        inside = analyze_cell(make_cell(5, 3, value=1.0), "Data", config)
-        outside = analyze_cell(make_cell(50, 3, value=1.0), "Data", config)
+        inside = cell_findings(make_cell(5, 3, value=1.0), "Data", config)
+        outside = cell_findings(make_cell(50, 3, value=1.0), "Data", config)
         assert inside[0].kind is FindingKind.EXPECTED_INPUT_VALUE
         assert outside[0].kind is FindingKind.DIRECT_NUMERIC_ENTRY
 
     def test_max_reported_constants_cap(self):
         cell = make_cell(1, 1, formula="=1+2+3+4+5")
         config = DetectionConfig(max_constants_per_cell=2)
-        [finding] = analyze_cell(cell, "S", config)
+        [finding] = cell_findings(cell, "S", config)
         assert constant_values(finding) == [1, 2]
 
     def test_heuristic_mode_uses_character_scan(self):
         config = DetectionConfig(mode=DetectionMode.HEURISTIC)
         cell = make_cell(1, 1, formula="=C6/12")
-        [finding] = analyze_cell(cell, "S", config)
+        [finding] = cell_findings(cell, "S", config)
         assert constant_values(finding) == [12]
         # digits after a letter are invisible to the legacy scan
-        assert analyze_cell(make_cell(1, 1, formula="=B22+C3"), "S", config) == []
+        assert cell_findings(make_cell(1, 1, formula="=B22+C3"), "S", config) == []
 
     def test_heuristic_constant_only(self):
         config = DetectionConfig(mode=DetectionMode.HEURISTIC)
-        [finding] = analyze_cell(make_cell(1, 1, formula="=9732311"), "S", config)
+        [finding] = cell_findings(make_cell(1, 1, formula="=9732311"), "S", config)
         assert finding.kind is FindingKind.CONSTANT_ONLY_FORMULA
 
     @given(st.text(), st.sampled_from(list(DetectionMode)), st.sampled_from(["A1", "R1C1"]))
@@ -107,7 +119,7 @@ class TestAnalyzeCell:
     @example("=A1*\u0661", DetectionMode.LEXICAL, "A1")
     def test_any_formula_text_is_classified(self, text, mode, ref_style):
         cell = make_cell(1, 1, formula=text)
-        findings = analyze_cell(cell, "S", DetectionConfig(mode=mode), ref_style)
+        findings = cell_findings(cell, "S", DetectionConfig(mode=mode), ref_style)
         assert len(findings) <= 1
 
 
@@ -301,12 +313,12 @@ class TestInvariants:
             )
             bearing = (FindingKind.HARD_CODED_CONSTANT, FindingKind.CONSTANT_ONLY_FORMULA)
             lex_cells = {
-                (f.sheet, f.address.coords())
+                (f.sheet, f.address[:2])
                 for f in lexical.findings
                 if f.kind in bearing
             }
             heu_cells = {
-                (f.sheet, f.address.coords())
+                (f.sheet, f.address[:2])
                 for f in heuristic.findings
                 if f.kind in bearing
             }
@@ -370,7 +382,7 @@ class TestClassificationMemo:
         expected = []
         for sheet in workbook.sheets:
             for coords in sorted(sheet.cells):
-                expected += analyze_cell(
+                expected += cell_findings(
                     sheet.cells[coords], sheet.name, config, workbook.ref_style
                 )
         assert list(analyze_workbook(workbook, config).findings) == expected

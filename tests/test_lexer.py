@@ -73,6 +73,12 @@ class TestTokenize:
         assert literal.numeric_value == 0.5
         assert TokenKind.PERCENT_SUFFIX in [t.kind for t in tokens]
 
+    def test_each_percent_suffix_divides_again(self):
+        literal = next(t for t in tokenize("=50%%") if t.kind is TokenKind.NUMERIC_LITERAL)
+        assert literal.numeric_value == 0.005
+        # a run divides only the literal it follows; a run after a reference divides nothing
+        assert extract_constants(tokenize("=A1%%+5%%%*2%")) == [(5e-06, (6, 7)), (0.02, (11, 12))]
+
     def test_function_name_with_digits(self):
         assert texts_of("=LOG10(A1)", TokenKind.FUNCTION_NAME) == ["LOG10"]
         assert extract_constants(tokenize("=LOG10(A1)")) == []

@@ -17,7 +17,6 @@ from sheetaudit.detect import (
     DetectionConfig,
     Finding,
     FindingKind,
-    analyze_cell,
     analyze_workbook,
     constant_histogram,
 )
@@ -33,6 +32,7 @@ from sheetaudit.report import (
 )
 from table3 import workbook_document
 from test_acceptance import _desk_scale_document
+from test_detect import cell_findings
 
 DATA_CONFIG = DetectionConfig(data_regions=(DataRegion("Data"),))
 
@@ -382,7 +382,7 @@ class TestDetail:
             finding
             for sheet in shared.sheets
             for coords in sorted(sheet.cells)
-            for finding in analyze_cell(sheet.cells[coords], sheet.name, config, ref_style)
+            for finding in cell_findings(sheet.cells[coords], sheet.name, config, ref_style)
         ]
         assert list(reports[0].findings) == list(reports[1].findings) == per_cell
         # ten distinct keys, so at most ten absolute addresses among the shared findings
