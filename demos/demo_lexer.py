@@ -19,12 +19,12 @@ for tok in tokens:
 print("round-trip identical:", render(tokens) == formula)
 print("constants:", extract_constants(tokens))
 
-# The legacy character scan flags digits right after an operator.  It
-# agrees here, but misses decimals after a dot and anything the lexer
-# knows is a reference.
-print("legacy scan offsets:", heuristic_scan(formula))
+# The legacy character scan flags digits right after an operator and
+# reads the number from there.  It agrees here, but misses decimals after
+# a dot and anything the lexer knows is a reference.
+print("legacy scan:", heuristic_scan(formula))
 
 # Trickier inputs the token-based detector gets right:
 for tricky in ['="Q4 2007"&A1', "=1E+5", "=LOG10(B2)", "='Prod 2007'!$C$6"]:
-    values = [v for v, _ in extract_constants(tokenize(tricky))]
+    values = [c.value for c in extract_constants(tokenize(tricky))]
     print(f"{tricky:<22} -> constants {values}")

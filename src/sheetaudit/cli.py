@@ -25,7 +25,7 @@ from .detect import (
     analyze_workbook,
     constant_histogram,
 )
-from .model import SchemaError, load_json, parse_range
+from .model import SchemaError, load_json, parse_range, read_json
 from .report import Format, render_batch_summary, render_detail, render_histogram
 from .xlsx import FormatError, load_xlsx
 
@@ -67,16 +67,11 @@ def _region_document(text: str) -> dict:
 
 def _load_config_document(path: Path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
     except OSError as exc:
         raise OptionsError(f"config {path} cannot be read: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise OptionsError(f"config {path} is not valid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise OptionsError(f"config {path} is not UTF-8 text: {exc}") from None
-    except RecursionError:
-        raise OptionsError(f"config {path} is JSON nested too deeply") from None
+    except SchemaError as exc:  # "not valid JSON: …", "JSON nested too deeply", …
+        raise OptionsError(f"config {path} is {exc}") from None
     if not isinstance(doc, dict):
         raise OptionsError(f"config {path} must be a JSON object")
     return doc
@@ -110,7 +105,7 @@ def build_config(options: RunOptions) -> DetectionConfig:
         raise OptionsError(f"config {exc}") from None
 
 
-def _expand_inputs(patterns: list[str], err) -> list[Path]:
+def _expand_inputs(patterns: list[str]) -> list[Path]:
     """The matched workbooks in sorted order, each file once under its first spelling."""
     matched: list[str] = []
     for pattern in patterns:
@@ -119,7 +114,7 @@ def _expand_inputs(patterns: list[str], err) -> list[Path]:
     workbooks: dict[object, Path] = {}
     for path in sorted(set(map(Path, matched))):
         if path.suffix.lower() not in _WORKBOOK_SUFFIXES:
-            print(f"notice: skipping non-workbook file {path}", file=err)
+            print(f"notice: skipping non-workbook file {path}", file=sys.stderr)
             continue
         # a file is its device and inode, whatever path, link or symlink names it
         try:
@@ -128,7 +123,7 @@ def _expand_inputs(patterns: list[str], err) -> list[Path]:
         except OSError:  # a dangling link or a symlink loop; loading it reports the error
             key = path
         if key in workbooks:
-            print(f"notice: skipping {path}, the same file as {workbooks[key]}", file=err)
+            print(f"notice: skipping {path}, the same file as {workbooks[key]}", file=sys.stderr)
             continue
         workbooks[key] = path
     return list(workbooks.values())
@@ -161,20 +156,19 @@ def _load_workbook(path: Path):
     return load_xlsx(path)
 
 
-def run(options: RunOptions, err=None) -> int:
-    err = err if err is not None else sys.stderr
+def run(options: RunOptions) -> int:
     try:
         config = build_config(options)
     except OptionsError as exc:
-        print(f"error: {exc}", file=err)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if not options.inputs or not options.formats:
-        print("error: need at least one input pattern and one format", file=err)
+        print("error: need at least one input pattern and one format", file=sys.stderr)
         return 2
 
-    paths = _expand_inputs(options.inputs, err)
+    paths = _expand_inputs(options.inputs)
     if not paths:
-        print("error: no inputs matched", file=err)
+        print("error: no inputs matched", file=sys.stderr)
         return 2
 
     out = options.output_dir
@@ -188,7 +182,7 @@ def run(options: RunOptions, err=None) -> int:
             except (OSError, FormatError, SchemaError) as exc:
                 # an OSError's text repeats the path: "[Errno 21] Is a directory: 'x.json'"
                 error = getattr(exc, "strerror", None) or str(exc)
-                print(f"error: {path}: {error}", file=err)
+                print(f"error: {path}: {error}", file=sys.stderr)
                 reports.append(AnalysisReport(path.name, str(path), 0, 0, 0, 0, error=error))
                 continue
             report = analyze_workbook(workbook, config)
@@ -206,7 +200,7 @@ def run(options: RunOptions, err=None) -> int:
             (out / f"summary.{ext}").write_bytes(render_batch_summary(reports, fmt).body)
             (out / f"constants.{ext}").write_bytes(render_histogram(counts, fmt).body)
     except OSError as exc:  # the output directory or a report file; what is written stays
-        print(f"error: {exc.filename or out}: {exc.strerror or exc}", file=err)
+        print(f"error: {exc.filename or out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
     if any(r.error is not None for r in reports):

@@ -20,6 +20,7 @@ from typing import NamedTuple
 from .addresses import CellAddress
 from .lexer import (
     DEFAULT_OPERATOR_SET,
+    ConstantOccurrence,
     LexError,
     TokenKind,
     extract_constants,
@@ -144,12 +145,6 @@ CONSTANT_BEARING_KINDS = frozenset(
 )
 
 
-class ConstantOccurrence(NamedTuple):
-    value: float
-    start: int
-    end: int
-
-
 class Finding(NamedTuple):
     kind: FindingKind
     sheet: str
@@ -177,7 +172,6 @@ class AnalysisReport:
 _BARE_NUMBER_RE = re.compile(
     r"^=?\s*-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[Ee][+-]?[0-9]+)?\s*$"
 )
-_HEURISTIC_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 # a formula holding one of these is a calculation, not a bare literal
 _STRUCTURAL_KINDS = frozenset(
     {TokenKind.CELL_REF, TokenKind.RANGE_REF, TokenKind.FUNCTION_NAME}
@@ -199,18 +193,12 @@ def _classify_text(formula: str, config: DetectionConfig, ref_style: str) -> Cla
             tokens = tokenize(formula, ref_style)
         except LexError as exc:
             return FindingKind.UNPARSEABLE, (), str(exc)
-        occurrences = [
-            ConstantOccurrence(value, start, end)
-            for value, (start, end) in extract_constants(tokens)
-        ]
+        occurrences = extract_constants(tokens)
         constant_only = len(occurrences) == 1 and not any(
             tok.kind in _STRUCTURAL_KINDS for tok in tokens
         )
     else:
-        occurrences = []
-        for offset in heuristic_scan(formula, config.heuristic_operators):
-            m = _HEURISTIC_NUMBER_RE.match(formula, offset)
-            occurrences.append(ConstantOccurrence(float(m.group()), offset, m.end()))
+        occurrences = heuristic_scan(formula, config.heuristic_operators)
         constant_only = bool(occurrences) and _BARE_NUMBER_RE.match(formula) is not None
 
     surviving = [o for o in occurrences if o.value not in config.ignore_constants]

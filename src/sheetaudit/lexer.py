@@ -8,7 +8,7 @@ or named ranges are never emitted as numeric literals.
 
 Two detectors live here: ``extract_constants`` walks the token stream,
 and ``heuristic_scan`` is the legacy operator-then-digit character scan
-kept for comparison.
+kept for comparison.  Both return ``ConstantOccurrence`` lists.
 """
 
 from __future__ import annotations
@@ -46,9 +46,11 @@ class Token(NamedTuple):
     end: int
     numeric_value: float | None = None
 
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.start, self.end)
+
+class ConstantOccurrence(NamedTuple):
+    value: float
+    start: int
+    end: int
 
 
 class LexError(ValueError):
@@ -62,6 +64,8 @@ class LexError(ValueError):
 # included so argument-position constants (e.g. a trailing IF branch)
 # are caught; a narrower set can be passed for strict legacy behaviour.
 DEFAULT_OPERATOR_SET = frozenset("=+-*/^&<>(,;")
+# the number the legacy scan reads from a flagged digit: no exponent, no leading "."
+_HEURISTIC_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 _ERROR_LITERALS = (
     "#GETTING_DATA",
@@ -182,12 +186,13 @@ def tokenize(formula_text: str, ref_style: str = A1) -> list[Token]:
     return tokens
 
 
-def extract_constants(tokens: list[Token]) -> list[tuple[float, tuple[int, int]]]:
+def extract_constants(tokens: list[Token]) -> list[ConstantOccurrence]:
     """Numeric-literal occurrences in source order, duplicates kept."""
+    new, literal = tuple.__new__, TokenKind.NUMERIC_LITERAL
     return [
-        (tok.numeric_value, tok.span)
+        new(ConstantOccurrence, (tok.numeric_value, tok.start, tok.end))
         for tok in tokens
-        if tok.kind is TokenKind.NUMERIC_LITERAL
+        if tok.kind is literal
     ]
 
 
@@ -198,16 +203,17 @@ def render(tokens: list[Token]) -> str:
 
 def heuristic_scan(
     formula_text: str, operator_set: frozenset[str] = DEFAULT_OPERATOR_SET
-) -> list[int]:
-    """Legacy character scan: offsets of digits immediately preceded by
-    an operator-set character, ignoring digits inside string literals."""
-    flagged: list[int] = []
+) -> list[ConstantOccurrence]:
+    """Legacy character scan: the number at each digit immediately preceded
+    by an operator-set character, ignoring digits inside string literals."""
+    flagged: list[ConstantOccurrence] = []
     in_string = False
     prev = ""
     for i, ch in enumerate(formula_text):
         if ch == '"':
             in_string = not in_string
         elif not in_string and "0" <= ch <= "9" and prev in operator_set:
-            flagged.append(i)
+            m = _HEURISTIC_NUMBER_RE.match(formula_text, i)
+            flagged.append(ConstantOccurrence(float(m.group()), i, m.end()))
         prev = ch
     return flagged

@@ -48,10 +48,10 @@ def collector_paused(build: Callable) -> Callable:
 
 class SchemaError(ValueError):
     """Interchange document violates the schema; message carries a
-    JSON-pointer-style location of the first violation."""
+    JSON-pointer-style location of the first violation below the root."""
 
     def __init__(self, location: str, message: str):
-        super().__init__(f"{location}: {message}")
+        super().__init__(f"{location}: {message}" if location else message)
         self.location = location
 
 
@@ -328,17 +328,26 @@ def _index_set(raw: object, location: str, limit: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def read_json(path: str | Path) -> object:
+    """The JSON document in a UTF-8 file.  ``OSError`` if it cannot be read; a
+    ``SchemaError`` at the root location if it is not UTF-8 JSON that can be read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:  # a ValueError
+            raise SchemaError("", f"not UTF-8 text: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise SchemaError("", f"not valid JSON: {exc}") from None
+        except ValueError:
+            # int()'s digit limit; a process-wide setting, so it is left as it is
+            raise SchemaError("", "JSON with an integer too long to read") from None
+        except RecursionError:
+            raise SchemaError("", "JSON nested too deeply") from None
+
+
 @collector_paused
 def load_json(path: str | Path) -> Workbook:
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("", f"not valid JSON: {exc}") from None
-        except RecursionError:
-            raise SchemaError("", "JSON nested too deeply") from None
-        except UnicodeDecodeError as exc:
-            raise SchemaError("", f"not UTF-8 text: {exc}") from None
-    return _workbook(doc, str(path), _drained)  # each raw sheet goes once its cells are built
+    # each raw sheet goes once its cells are built
+    return _workbook(read_json(path), str(path), _drained)
 

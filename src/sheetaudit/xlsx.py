@@ -70,6 +70,8 @@ def load_xlsx(path: str | Path) -> Workbook:
         archive = zipfile.ZipFile(path)
     except zipfile.BadZipFile:
         raise FormatError("not a ZIP package") from None
+    except (NotImplementedError, UnicodeDecodeError) as exc:  # a later zip version, a bad name
+        raise FormatError(f"unreadable ZIP directory ({exc})") from None
     with archive:
         try:
             sheet_elems = [e for e in _parse(archive, "xl/workbook.xml", 2) if e.tag == _SHEET]

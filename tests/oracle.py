@@ -11,8 +11,9 @@ notation, and percent suffixes are outside its vocabulary.
 from __future__ import annotations
 
 
-def digit_run_constants(formula: str) -> list[tuple[float, tuple[int, int]]]:
-    out: list[tuple[float, tuple[int, int]]] = []
+def digit_run_constants(formula: str) -> list[tuple[float, int, int]]:
+    """``(value, start, end)`` of each constant, in source order."""
+    out: list[tuple[float, int, int]] = []
     i = 0
     n = len(formula)
     while i < n:
@@ -29,5 +30,5 @@ def digit_run_constants(formula: str) -> list[tuple[float, tuple[int, int]]]:
                 i += 1
         if prev.isalpha() or prev in "$!":
             continue
-        out.append((float(formula[start:i]), (start, i)))
+        out.append((float(formula[start:i]), start, i))
     return out

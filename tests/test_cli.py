@@ -273,6 +273,30 @@ class TestExitCodes:
         assert errors["good.xlsx"] is None
         assert (tmp_path / "out" / "good.findings.json").exists()
 
+    @pytest.mark.parametrize("damage", ["zip-version", "name-not-utf8"])
+    def test_central_directory_refused_at_open_is_an_error_row(self, tmp_path, capsys, damage):
+        rows = '<row r="1"><c r="A1"><f>B1/12</f><v>4</v></c></row>'
+        build_xlsx(tmp_path / "good.xlsx", [{"name": "S", "rows": rows}])
+        broken = build_xlsx(tmp_path / "broken.xlsx", [{"name": "S", "rows": rows}])
+        data = bytearray(broken.read_bytes())
+        central = data.index(b"PK\x01\x02")  # the first member's central directory header
+        if damage == "zip-version":
+            struct.pack_into("<H", data, central + 6, 99)  # needs version 9.9 to extract
+        else:
+            (flags,) = struct.unpack_from("<H", data, central + 8)
+            struct.pack_into("<H", data, central + 8, flags | 0x800)  # the name is UTF-8 ...
+            data[central + 46] = 0xFF  # ... but starts with a byte UTF-8 never uses
+        broken.write_bytes(bytes(data))
+        code = main(
+            [str(tmp_path / "*.xlsx"), "--out", str(tmp_path / "out"), "--format", "json"]
+        )
+        assert code == 2
+        assert "broken.xlsx" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        errors = {row["workbook_name"]: row["error"] for row in summary["rows"]}
+        assert errors["broken.xlsx"]
+        assert errors["good.xlsx"] is None
+
     def test_member_past_the_size_cap_is_an_error_row(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(xlsx, "MAX_MEMBER_BYTES", 4096)
         rows = '<row r="1"><c r="A1"><f>B1/12</f><v>4</v></c></row>'
@@ -338,6 +362,8 @@ class TestExitCodes:
             # nested deeper than the JSON parser's recursion limit
             pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
             pytest.param({"ignore_constants": [10**400]}, id="ignore-too-large"),
+            # past int()'s digit limit where the interpreter has one, too large a float if not
+            pytest.param('{"ignore_constants": [%s]}' % ("1" * 5000), id="ignore-digits"),
             # a misspelt "range" must not widen the region to the whole sheet
             pytest.param({"data_regions": [{"sheet": "S", "rang": "A1:B2"}]}, id="region-typo"),
             pytest.param({"data_regions": [{"sheet": "S", "range": "garbage"}]}, id="bad-range"),
@@ -448,6 +474,9 @@ MALFORMED_JSON = {
     "cell-row-digits.json": b'{"name": "m", "sheets": [{"name": "S", "cells": {"A%s": {"v": 1}}}]}'
     % (b"9" * 5000,),
     "merged-max.json": b'{"name": "m", "sheets": [{"name": "S", "merged": ["A1:XFE1"]}]}',
+    # past int()'s digit limit where the interpreter has one, not a finite float if not
+    "value-digits.json": b'{"name": "m", "sheets": [{"name": "S", "cells": {"A1": {"v": %s}}}]}'
+    % (b"9" * 5000,),
     # one cell spelt three ways; only the last spelling would survive
     "duplicate-cell-keys.json": b'{"name": "m", "sheets": [{"name": "S", "cells":'
     b' {"A1": {"f": "=B1*12"}, "a1": {"v": 5}, "R1C1": {"v": 7}}}]}',
@@ -474,6 +503,28 @@ def test_malformed_workbook_is_an_error_row(tmp_path, capsys, broken_name):
     assert errors[broken_name]
     assert errors["good"] is None
     assert (tmp_path / "out" / "good.findings.json").exists()
+
+
+def test_whole_document_errors_give_the_message_alone(tmp_path, capsys):
+    # faults of the whole document have no location to put before the message
+    messages = {
+        "array.json": (b"[1]", "document must be an object"),
+        "top-key.json": (b'{"name": "m", "extra": 1}', "unknown key 'extra'"),
+        "invalid.json": (b"{", "not valid JSON: "),
+        "deep.json": (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+        "not-utf8.json": (b'{"name": "\xff"}', "not UTF-8 text: "),
+    }
+    for name, (content, _) in messages.items():
+        (tmp_path / name).write_bytes(content)
+    code = main([str(tmp_path / "*.json"), "--out", str(tmp_path / "out"), "--format", "json"])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert f"error: {tmp_path / 'array.json'}: document must be an object" in lines
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    errors = {row["workbook_name"]: row["error"] for row in summary["rows"]}
+    assert errors.keys() == messages.keys()
+    for name, (_, message) in messages.items():
+        assert errors[name].startswith(message)
 
 
 def test_malformed_sheet_messages(tmp_path):

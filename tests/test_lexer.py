@@ -4,9 +4,12 @@ from hypothesis import strategies as st
 
 from formula_gen import FULL_A1, FULL_R1C1, ORACLE_A1, ORACLE_R1C1, FormulaGen
 from oracle import digit_run_constants
+import sheetaudit
+from sheetaudit import detect
 from sheetaudit.addresses import CellAddress, parse_address
 from sheetaudit.lexer import (
     DEFAULT_OPERATOR_SET,
+    ConstantOccurrence,
     LexError,
     Token,
     TokenKind,
@@ -77,7 +80,7 @@ class TestTokenize:
         literal = next(t for t in tokenize("=50%%") if t.kind is TokenKind.NUMERIC_LITERAL)
         assert literal.numeric_value == 0.005
         # a run divides only the literal it follows; a run after a reference divides nothing
-        assert extract_constants(tokenize("=A1%%+5%%%*2%")) == [(5e-06, (6, 7)), (0.02, (11, 12))]
+        assert extract_constants(tokenize("=A1%%+5%%%*2%")) == [(5e-06, 6, 7), (0.02, 11, 12)]
 
     def test_function_name_with_digits(self):
         assert texts_of("=LOG10(A1)", TokenKind.FUNCTION_NAME) == ["LOG10"]
@@ -86,19 +89,19 @@ class TestTokenize:
     def test_quoted_sheet_name_with_digits(self):
         tokens = tokenize("='Prod 2007'!$C$6*2")
         assert texts_of("='Prod 2007'!$C$6*2", TokenKind.SHEET_QUALIFIER) == ["'Prod 2007'!"]
-        assert [v for v, _ in extract_constants(tokens)] == [2]
+        assert [c.value for c in extract_constants(tokens)] == [2]
 
     def test_named_range_with_digits_is_identifier(self):
         tokens = tokenize("=Rate2008*B2")
         assert [(t.kind, t.text) for t in tokens][1] == (TokenKind.IDENTIFIER, "Rate2008")
-        assert [v for v, _ in extract_constants(tokens)] == []
+        assert [c.value for c in extract_constants(tokens)] == []
 
     def test_range_reference_single_token(self):
         assert texts_of("=SUM(A1:B22)", TokenKind.RANGE_REF) == ["A1:B22"]
 
     def test_array_constant_literals_included(self):
         tokens = tokenize("={1,2;3.5}")
-        assert [v for v, _ in extract_constants(tokens)] == [1, 2, 3.5]
+        assert [c.value for c in extract_constants(tokens)] == [1, 2, 3.5]
 
     def test_booleans_and_errors(self):
         tokens = tokenize("=IF(TRUE,#DIV/0!,FALSE)")
@@ -111,7 +114,7 @@ class TestTokenize:
             "R[1]C[-2]",
             "R1C1",
         ]
-        assert [v for v, _ in extract_constants(tokens)] == [3]
+        assert [c.value for c in extract_constants(tokens)] == [3]
 
     def test_unterminated_string_raises_with_offset(self):
         with pytest.raises(LexError) as exc_info:
@@ -163,14 +166,11 @@ class TestTokenContract:
         assert Token._fields == ("kind", "text", "start", "end", "numeric_value")
         assert (tok.kind, tok.text, tok.start, tok.end) == (TokenKind.CELL_REF, "A1", 1, 3)
         assert tok.numeric_value is None
-        assert tok.span == (1, 3)
 
     def test_immutable(self):
         tok = Token(TokenKind.NUMERIC_LITERAL, "12", 0, 2, 12.0)
         with pytest.raises(AttributeError):
             tok.numeric_value = 13.0
-        with pytest.raises(AttributeError):
-            tok.span = (0, 1)
 
     def test_equality_and_hash_by_value(self):
         a = Token(TokenKind.NUMERIC_LITERAL, "12", 0, 2, 12.0)
@@ -188,12 +188,12 @@ class TestTokenContract:
 class TestExtractConstants:
     def test_single_divisor(self):
         tokens = tokenize("=Data!$E$35/12")
-        [(value, span)] = extract_constants(tokens)
-        assert value == 12
-        assert "=Data!$E$35/12"[span[0] : span[1]] == "12"
+        [constant] = extract_constants(tokens)
+        assert constant == ConstantOccurrence(12.0, 12, 14)
+        assert "=Data!$E$35/12"[constant.start : constant.end] == "12"
 
     def test_duplicates_in_source_order(self):
-        values = [v for v, _ in extract_constants(tokenize("=IF(F7<0, F7*Data!$E$39/12, 0)"))]
+        values = [c.value for c in extract_constants(tokenize("=IF(F7<0, F7*Data!$E$39/12, 0)"))]
         assert values == [0, 12, 0]
 
     def test_bare_reference_yields_nothing(self):
@@ -202,19 +202,26 @@ class TestExtractConstants:
 
 class TestHeuristicScan:
     def test_digit_after_slash(self):
-        text = "=C6/12"
-        assert heuristic_scan(text) == [text.index("1")]
+        # the number that starts at the flagged digit, as the legacy scan reads it
+        assert heuristic_scan("=C6/12") == [ConstantOccurrence(12.0, 4, 6)]
 
     def test_reference_digits_never_flagged(self):
         assert heuristic_scan("=B22+C3") == []
 
     def test_comma_membership_decides_argument_constants(self):
         text = "=ROUND(A1,2)"
-        assert heuristic_scan(text) == [text.index("2", 7)]
+        assert [c.start for c in heuristic_scan(text)] == [text.index("2", 7)]
         assert heuristic_scan(text, frozenset("=+-*/")) == []
 
     def test_digits_inside_strings_ignored(self):
         assert heuristic_scan('="x"&"12"&B2') == []
+
+    def test_both_detectors_return_the_findings_type(self):
+        assert sheetaudit.ConstantOccurrence is detect.ConstantOccurrence is ConstantOccurrence
+        formula = "=A1*12.5"
+        lexed, scanned = extract_constants(tokenize(formula)), heuristic_scan(formula)
+        assert lexed == scanned == [ConstantOccurrence(12.5, 4, 8)]
+        assert {type(c) for c in lexed + scanned} == {ConstantOccurrence}
 
 
 class TestRoundTrip:
@@ -243,12 +250,12 @@ class TestRoundTrip:
 
 class TestProperties:
     def test_superset_property_on_corpus(self):
-        # heuristic offsets always land inside some lexed literal
+        # each heuristic occurrence starts inside some lexed literal
         gen = FormulaGen(seed=11, profile=ORACLE_A1)
         for formula in gen.corpus(400):
-            spans = [span for _, span in extract_constants(tokenize(formula))]
-            for offset in heuristic_scan(formula):
-                assert any(start <= offset < end for start, end in spans), formula
+            lexed = extract_constants(tokenize(formula))
+            for found in heuristic_scan(formula):
+                assert any(c.start <= found.start < c.end for c in lexed), formula
 
     def test_oracle_agreement(self):
         for seed, profile, style in [(13, ORACLE_A1, "A1"), (17, ORACLE_R1C1, "R1C1")]:
