@@ -125,6 +125,9 @@ class DetectionConfig:
                 raise ValueError("ignore_constants must contain finite numbers")
         if self.max_constants_per_cell is not None and self.max_constants_per_cell < 1:
             raise ValueError("max_constants_per_cell must be positive")
+        if not self.heuristic_operators.isdisjoint("0123456789."):
+            # a digit or "." before a digit would start a second number inside one literal
+            raise ValueError("heuristic_operators: may not hold digits or '.'")
 
 
 class FindingKind(Enum):
@@ -174,7 +177,7 @@ _BARE_NUMBER_RE = re.compile(
 )
 # a formula holding one of these is a calculation, not a bare literal
 _STRUCTURAL_KINDS = frozenset(
-    {TokenKind.CELL_REF, TokenKind.RANGE_REF, TokenKind.FUNCTION_NAME}
+    {TokenKind.CELL_REF, TokenKind.RANGE_REF, TokenKind.FUNCTION_NAME, TokenKind.IDENTIFIER}
 )
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,6 +27,7 @@ from .addresses import (
 )
 
 Scalar = Union[int, float, str, bool]
+Span = tuple[int, int]  # the first and last of a run of row or column indices
 
 
 def collector_paused(build: Callable) -> Callable:
@@ -134,6 +137,68 @@ class Workbook:
         names = [s.name for s in self.sheets]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate sheet names in workbook {self.name!r}")
+
+
+class SheetError(ValueError):
+    """Sheet content that ``build_sheet`` refuses, with the fact alone as its message.
+    ``part`` is ``"cells"`` or ``"duplicate"`` and ``item`` a cell reference, or ``part`` is
+    ``"merged"``, ``"hidden_rows"`` or ``"hidden_cols"`` and ``item`` a position in it."""
+
+    def __init__(self, part: str, item: object, message: str):
+        super().__init__(message)
+        self.part, self.item = part, item
+
+
+def build_sheet(
+    name: str, visibility: SheetVisibility, cells: Iterable[tuple[str, str | None, Scalar | None]],
+    hidden_rows: Iterable[Span], hidden_cols: Iterable[Span], merged: Iterable[str],
+    parse: AddressMemo, share: Callable[[str, str], str],
+) -> Sheet:
+    """The sheet a loader read, whatever its format.
+
+    ``cells`` gives each cell as ``(reference, formula, value)``, a formula with its ``=``.
+    It is read first, so a loader may fill the other inputs as it gives the cells.  ``parse``
+    is the workbook's ``address_memo``, and ``share`` a dict's ``setdefault`` that gives
+    each formula text one string for the workbook.
+    """
+    built: dict[tuple[int, int], Cell] = {}
+    keep, new = built.setdefault, tuple.__new__
+    for ref, formula, value in cells:
+        try:
+            address, coords = parse(ref)
+        except AddressError as exc:
+            raise SheetError("cells", ref, str(exc)) from None
+        if formula is not None:
+            formula = share(formula, formula)
+        cell = new(Cell, (address, formula, value))
+        if keep(coords, cell) is not cell:
+            earlier = built[coords].address.render()
+            raise SheetError("duplicate", ref, f"cells {earlier!r} and {ref!r} are the same cell")
+        if formula is None and value is None:  # checked as Cell.__new__ would, without its call
+            raise SheetError("cells", ref, f"cell {address.render()} has neither formula nor value")
+    regions = []
+    for i, text in enumerate(merged):
+        try:
+            regions.append(parse_range(text))
+        except ValueError as exc:
+            raise SheetError("merged", i, str(exc)) from None
+    rows = _hidden(hidden_rows, "hidden_rows", MAX_ROWS)
+    cols = _hidden(hidden_cols, "hidden_cols", MAX_COLUMNS)
+    return Sheet(name, visibility, built, tuple(regions), rows, cols)
+
+
+def _hidden(spans: Iterable[Span], part: str, limit: int) -> frozenset[int]:
+    """Each index in some span, once however the spans overlap or abut."""
+    spans = list(spans)
+    for i, span in enumerate(spans):
+        if not all(type(index) is int and 1 <= index <= limit for index in span):
+            raise SheetError(part, i, f"indices must be integers from 1 to {limit}")
+    indices: list[int] = []
+    end = 0  # every index in an earlier span is at most end
+    for first, last in sorted(spans):
+        indices.extend(range(max(first, end + 1), last + 1))
+        end = max(end, last)
+    return frozenset(indices)
 
 
 class WarningKind(Enum):
@@ -251,86 +316,69 @@ def _sheet_from_document(raw: object, location: str, parse: AddressMemo, share: 
         visibility = SheetVisibility(vis_raw)
     except ValueError:
         raise SchemaError(f"{location}/visibility", f"unknown visibility {vis_raw!r}") from None
-
-    cells: dict[tuple[int, int], Cell] = {}
-    new = tuple.__new__
     raw_cells = raw.get("cells", {})
     if not isinstance(raw_cells, dict):
         raise SchemaError(f"{location}/cells", "must be an object")
+    merged = raw.get("merged", [])
+    if not isinstance(merged, list):
+        raise SchemaError(f"{location}/merged", "must be an array of range strings")
+    for i, text in enumerate(merged):
+        if not isinstance(text, str):
+            raise SchemaError(f"{location}/merged/{i}", "range must be a string")
+    rows, cols = (raw.get(key, []) for key in ("hidden_rows", "hidden_cols"))
+    for key, indices in (("hidden_rows", rows), ("hidden_cols", cols)):
+        if not isinstance(indices, list):
+            raise SchemaError(f"{location}/{key}", "must be an array of integers")
+    cells = _document_cells(raw_cells, f"{location}/cells")
+    rows, cols = zip(rows, rows), zip(cols, cols)  # each index a span of one
+    try:
+        return build_sheet(name, visibility, cells, rows, cols, merged, parse, share)
+    except SheetError as exc:
+        message = str(exc)
+        if exc.part == "duplicate":
+            coords = parse(exc.item)[1]
+            first = next(key for key in raw_cells if parse(key)[1] == coords)
+            message = f"keys {first!r} and {exc.item!r} name the same cell"
+        part = "cells" if exc.part == "duplicate" else exc.part
+        raise SchemaError(f"{location}/{part}/{exc.item}", message) from None
+
+
+def _document_cells(raw_cells: dict, location: str) -> Iterator[tuple[str, object, object]]:
+    """Each cell as ``(key, formula, value)``, checked as the interchange allows it."""
     for key, raw_cell in raw_cells.items():
-        try:
-            address, coords = parse(key)
-        except AddressError as exc:
-            raise SchemaError(f"{location}/cells/{key}", str(exc)) from None
         if not isinstance(raw_cell, dict):
-            raise SchemaError(f"{location}/cells/{key}", "cell must be an object")
+            raise SchemaError(f"{location}/{key}", "cell must be an object")
         if not _CELL_KEYS.issuperset(raw_cell):
-            _require_keys(raw_cell, _CELL_KEYS, f"{location}/cells/{key}")
+            _require_keys(raw_cell, _CELL_KEYS, f"{location}/{key}")
         formula = raw_cell.get("f")
         value = raw_cell.get("v")
         if formula is not None:
             if not isinstance(formula, str):
-                raise SchemaError(f"{location}/cells/{key}/f", "formula must be a string")
+                raise SchemaError(f"{location}/{key}/f", "formula must be a string")
             if not formula.startswith("="):
                 formula = "=" + formula
-            formula = share(formula, formula)
         if value is not None:
             if not isinstance(value, (int, float, str, bool)):
-                raise SchemaError(f"{location}/cells/{key}/v", "value must be a scalar")
+                raise SchemaError(f"{location}/{key}/v", "value must be a scalar")
             if isinstance(value, (int, float)) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                 # json reads NaN, Infinity and 1e999; like an XLSX <v>, a cell holds a finite number
-                raise SchemaError(f"{location}/cells/{key}/v", "value must be a finite number")
-        if coords in cells:
-            # the keys before this one all parsed; the first with these coords filled them
-            first = next(k for k in raw_cells if parse(k)[1] == coords)
-            raise SchemaError(
-                f"{location}/cells/{key}", f"keys {first!r} and {key!r} name the same cell"
-            )
-        if formula is None and value is None:
-            raise SchemaError(
-                f"{location}/cells/{key}", f"cell {address.render()} has neither formula nor value"
-            )
-        # checked above as Cell.__new__ would, so no Python-level call per cell
-        cells[coords] = new(Cell, (address, formula, value))
-
-    raw_merged = raw.get("merged", [])
-    if not isinstance(raw_merged, list):
-        raise SchemaError(f"{location}/merged", "must be an array of range strings")
-    merged: list[Rectangle] = []
-    for i, ref in enumerate(raw_merged):
-        if not isinstance(ref, str):
-            raise SchemaError(f"{location}/merged/{i}", "range must be a string")
-        try:
-            merged.append(parse_range(ref))
-        except ValueError as exc:
-            raise SchemaError(f"{location}/merged/{i}", str(exc)) from None
-
-    hidden_rows = _index_set(raw.get("hidden_rows", []), f"{location}/hidden_rows", MAX_ROWS)
-    hidden_cols = _index_set(raw.get("hidden_cols", []), f"{location}/hidden_cols", MAX_COLUMNS)
-    return Sheet(
-        name=name,
-        visibility=visibility,
-        cells=cells,
-        merged_regions=tuple(merged),
-        hidden_rows=hidden_rows,
-        hidden_cols=hidden_cols,
-    )
+                raise SchemaError(f"{location}/{key}/v", "value must be a finite number")
+        yield key, formula, value
 
 
-def _index_set(raw: object, location: str, limit: int) -> frozenset[int]:
-    if not isinstance(raw, list):
-        raise SchemaError(location, "must be an array of integers")
-    out = set()
-    for i, item in enumerate(raw):
-        if not isinstance(item, int) or isinstance(item, bool) or not 1 <= item <= limit:
-            raise SchemaError(f"{location}/{i}", f"indices must be integers from 1 to {limit}")
-        out.add(item)
-    return frozenset(out)
+def require_regular_file(path: str | Path) -> None:
+    """An ``OSError``, "not a regular file", if ``path`` names a FIFO, a device or a socket:
+    opening a FIFO waits for a writer, and reading ``/dev/zero`` never ends.  A directory
+    passes, so that its open says what it is."""
+    mode = os.stat(path).st_mode
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        raise OSError("not a regular file")
 
 
 def read_json(path: str | Path) -> object:
     """The JSON document in a UTF-8 file.  ``OSError`` if it cannot be read; a
     ``SchemaError`` at the root location if it is not UTF-8 JSON that can be read."""
+    require_regular_file(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)

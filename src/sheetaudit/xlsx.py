@@ -14,15 +14,15 @@ import math
 import re
 import zipfile
 import zlib
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import closing
 from pathlib import Path
 from xml.etree import ElementTree
 
 from .addresses import MAX_COLUMNS, MAX_ROWS, AddressError, AddressMemo, address_memo
 from .addresses import column_to_letters
-from .model import Cell, Rectangle, Scalar, Sheet, SheetVisibility, Workbook, parse_range
-from .model import collector_paused
+from .model import Scalar, SheetError, SheetVisibility, Span, Workbook, build_sheet
+from .model import collector_paused, require_regular_file
 
 _NS = {
     "main": "http://schemas.openxmlformats.org/spreadsheetml/2006/main",
@@ -49,6 +49,7 @@ _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 # (-1, 1_0, " 0 "); nine digits hold every index the format allows
 _INDEX_RE = re.compile(r"[0-9]{1,9}")
 _BOOLEANS = {"0": False, "1": True, "false": False, "true": True}
+_LIMITS = {"row": MAX_ROWS, "col": MAX_COLUMNS}
 
 # The most bytes one package member may inflate to.  A few kilobytes of deflated
 # data can inflate to gigabytes, so a member past this is an error.  The cap bounds
@@ -64,8 +65,9 @@ class FormatError(ValueError):
 @collector_paused
 def load_xlsx(path: str | Path) -> Workbook:
     """The package's workbook.  An error gets its sheet here and its cell in
-    ``_read_sheet``; the helpers below raise a ``ValueError`` with the fact alone."""
+    ``_read_cells``; the helpers below raise a ``ValueError`` with the fact alone."""
     path = Path(path)
+    require_regular_file(path)
     try:
         archive = zipfile.ZipFile(path)
     except zipfile.BadZipFile:
@@ -91,13 +93,18 @@ def load_xlsx(path: str | Path) -> Workbook:
             if target is None:
                 raise FormatError(f"sheet {name!r}: no worksheet part")
             visibility = _VISIBILITY.get(elem.get("state"), SheetVisibility.VISIBLE)
+            merged, rows, cols = [], [], []  # filled as the cells are read
             try:
                 with closing(_parse(archive, target, 2)) as xml:  # closed if a cell fails
-                    sheets.append(Sheet(name, visibility, *_read_sheet(xml, shared, parse, share)))
+                    cells = _read_cells(xml, shared, parse, merged, rows, cols)
+                    sheet = build_sheet(name, visibility, cells, rows, cols, merged, parse, share)
             except (KeyError, ValueError) as exc:  # only _parse raises a KeyError
                 # text, not exc: a local holding exc would tie its traceback to this frame
-                problem = f"missing part {target}" if isinstance(exc, KeyError) else str(exc)
+                problem = (
+                    f"missing part {target}" if isinstance(exc, KeyError) else _worded(exc, rows, cols)
+                )
                 raise FormatError(f"sheet {name!r}: {problem}") from None
+            sheets.append(sheet)
 
     try:
         return Workbook(name=path.name, source_path=str(path), sheets=tuple(sheets))
@@ -163,64 +170,42 @@ def _read_shared_strings(archive: zipfile.ZipFile) -> list[str]:
         return []
 
 
-def _read_sheet(
-    xml: Iterator[ElementTree.Element], shared: list[str], parse: AddressMemo, share: Callable
-) -> tuple[dict[tuple[int, int], Cell], tuple[Rectangle, ...], frozenset[int], frozenset[int]]:
-    """A ``Sheet``'s fields after its name and visibility."""
-    merged: list[Rectangle] = []
-    hidden_rows = set()
-    hidden_spans = []  # (min, max) of each hidden <col>, expanded once the sheet is read
+def _read_cells(
+    xml: Iterator[ElementTree.Element], shared: list[str], parse: AddressMemo,
+    merged: list[str], hidden_rows: list[Span], hidden_cols: list[Span],
+) -> Iterator[tuple[str, str | None, Scalar | None]]:
+    """Each ``<c>`` with content as ``(ref, formula, value)``; merge range texts and hidden
+    row and column spans go into the lists given as they are read."""
     # shared-formula masters, keyed by si attribute
     shared_formulas: dict[str, str] = {}
-    cells: dict[tuple[int, int], Cell] = {}
     # a <row> or <c> without r (it is optional) sits one past the one before, as openpyxl reads it
     row_number = 0
     for elem in xml:  # a valid worksheet has these in sheetData, cols and mergeCells
         if elem.tag == _ROW:
-            row_number = _index_attr(elem, "r", MAX_ROWS, absent=row_number + 1)
+            row_number = _index_attr(elem, "r", absent=row_number + 1)
             if elem.get("hidden") in ("1", "true"):
-                hidden_rows.add(row_number)
+                hidden_rows.append((row_number, row_number))
             column = 0
             for c in elem.findall(_C):
                 ref = c.get("r") or f"{column_to_letters(column + 1)}{row_number}"
                 try:
-                    address, coords = parse(ref)
+                    column = parse(ref)[1][1]
                 except AddressError:
                     raise ValueError(f"bad cell reference {ref!r}") from None
-                column = coords[1]
                 try:
-                    formula, value = _read_cell_content(c, shared, shared_formulas, share)
+                    formula, value = _read_cell_content(c, shared, shared_formulas)
                 except ValueError as exc:
                     raise ValueError(f"cell {ref}: {exc}") from None
-                if formula is None and value is None:
-                    continue
-                if coords in cells:
-                    earlier = cells[coords].address.render()
-                    raise ValueError(f"cells {earlier!r} and {ref!r} are the same cell")
-                # content is present and a formula carries its "=", so skip Cell.__new__'s checks
-                cells[coords] = tuple.__new__(Cell, (address, formula, value))
+                if formula is not None or value is not None:
+                    yield ref, formula, value
         elif elem.tag == _COL and elem.get("hidden") in ("1", "true"):
-            first = _index_attr(elem, "min", MAX_COLUMNS)
-            last = _index_attr(elem, "max", MAX_COLUMNS)
-            hidden_spans.append((first, last))
+            hidden_cols.append((_index_attr(elem, "min"), _index_attr(elem, "max")))
         elif elem.tag == _MERGE_CELL and (ref := elem.get("ref")):
-            merged.append(parse_range(ref))
-
-    return cells, tuple(merged), frozenset(hidden_rows), frozenset(_columns(hidden_spans))
-
-
-def _columns(spans: list[tuple[int, int]]) -> list[int]:
-    """Each column in some (min, max) span, once however the spans overlap or abut."""
-    columns: list[int] = []
-    end = 0  # every column in an earlier span is at most end
-    for first, last in sorted(spans):
-        columns.extend(range(max(first, end + 1), last + 1))
-        end = max(end, last)
-    return columns
+            merged.append(ref)
 
 
 def _read_cell_content(
-    c: ElementTree.Element, shared: list[str], shared_formulas: dict[str, str], share: Callable
+    c: ElementTree.Element, shared: list[str], shared_formulas: dict[str, str]
 ) -> tuple[str | None, Scalar | None]:
     # one walk over the children; the first of each tag wins, as in find()
     children = {child.tag: child for child in reversed(c)}
@@ -241,7 +226,6 @@ def _read_cell_content(
                     raise ValueError(f"shared formula si={si!r} has no master")
         if body:
             formula = "=" + body
-            formula = share(formula, formula)
 
     value: Scalar | None = None
     cell_type = c.get("t", "n")
@@ -265,14 +249,31 @@ def _read_cell_content(
     return formula, value
 
 
-def _index_attr(elem: ElementTree.Element, key: str, limit: int, absent: int = 0) -> int:
-    """A 1-based row or column index attribute, at most ``limit``; ``absent`` if missing."""
+def _index_attr(elem: ElementTree.Element, key: str, absent: int | None = None) -> int:
+    """A row or column index attribute of ASCII digits; ``absent`` if missing."""
     raw = elem.get(key)
-    index = absent if raw is None else int(raw) if _INDEX_RE.fullmatch(raw) else 0
-    if not 1 <= index <= limit:
-        tag = elem.tag.rpartition("}")[2]
-        raise ValueError(f"<{tag}> {key}={raw!r} is not an index from 1 to {limit}")
-    return index
+    if raw is None and absent is not None:
+        return absent
+    if raw is None or not _INDEX_RE.fullmatch(raw):
+        raise ValueError(_not_an_index(elem.tag.rpartition("}")[2], key, raw))
+    return int(raw)
+
+
+def _not_an_index(tag: str, key: str, raw: str | None) -> str:
+    return f"<{tag}> {key}={raw!r} is not an index from 1 to {_LIMITS[tag]}"
+
+
+def _worded(exc: ValueError, rows: list[Span], cols: list[Span]) -> str:
+    """A fault in this reader's words: a hidden span the sheet builder refused names its
+    attribute, as ``_index_attr`` names a bad one."""
+    if not isinstance(exc, SheetError) or exc.part not in ("hidden_rows", "hidden_cols"):
+        return str(exc)
+    if exc.part == "hidden_rows":
+        return _not_an_index("row", "r", str(rows[exc.item][0]))
+    first, last = cols[exc.item]
+    if 1 <= first <= MAX_COLUMNS:
+        return _not_an_index("col", "max", str(last))
+    return _not_an_index("col", "min", str(first))
 
 
 def _parse_number(raw: str) -> Scalar:

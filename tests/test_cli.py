@@ -1,6 +1,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import zipfile
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sheetaudit
 from sheetaudit import xlsx
 from sheetaudit.cli import RunOptions, build_config, main
 from sheetaudit.detect import (
@@ -110,6 +113,30 @@ class TestExitCodes:
         assert [(r["workbook_location"], r["error"]) for r in rows] == [
             (str(p), e) for p, e in errors
         ]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="the platform has no FIFOs")
+    def test_fifo_is_an_error_row_and_not_a_wait(self, tmp_path):
+        write_fixture(tmp_path / "good.json")
+        os.mkfifo(tmp_path / "fifo.json")
+        run = run_bounded(["good.json", "fifo.json", "--out", "out", "--format", "json"], tmp_path)
+        assert (run.returncode, run.stderr) == (2, "error: fifo.json: not a regular file\n")
+        rows = json.loads((tmp_path / "out" / "summary.json").read_text())["rows"]
+        assert [(r["workbook_name"], r["error"]) for r in rows] == [
+            ("fifo.json", "not a regular file"),
+            ("good", None),
+        ]
+        run = run_bounded(["good.json", "--config", "fifo.json", "--out", "out"], tmp_path)
+        assert (run.returncode, run.stderr) == (
+            2,
+            "error: config fifo.json cannot be read: not a regular file\n",
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="the platform has no /dev/zero")
+    @pytest.mark.parametrize("name", ["zero.json", "zero.xlsx"])
+    def test_endless_device_is_an_error_row(self, tmp_path, name):
+        (tmp_path / name).symlink_to("/dev/zero")
+        run = run_bounded([name, "--out", "out"], tmp_path)
+        assert (run.returncode, run.stderr) == (2, f"error: {name}: not a regular file\n")
 
     def test_unusable_output_is_an_error_not_a_traceback(self, tmp_path, capsys):
         wb = write_fixture(tmp_path / "wb.json")
@@ -396,6 +423,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: config ")
         assert message is None or err == message
+
+
+    @pytest.mark.parametrize("operators", ["*.", "*123"])
+    def test_operators_that_start_inside_a_number_exit_two(self, tmp_path, capsys, operators):
+        # "*." read =A1*1.5 as 1.5 and 5, and "*123" read =A1*123 as 123, 23 and 3
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"mode": "heuristic", "heuristic_operators": operators}))
+        write_clean(tmp_path / "ok.json")
+        code = main([str(tmp_path / "ok.json"), "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        message = "error: config heuristic_operators: may not hold digits or '.'\n"
+        assert capsys.readouterr().err == message
+
+
+def run_bounded(args, cwd):
+    """``sheetaudit ARGS`` in a child process, stopped after 60 s and refused memory past
+    1 GiB: an open that waits for a FIFO's writer, or a read of /dev/zero, fails the test."""
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from sheetaudit.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(sheetaudit.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
 
 
 def damage_member(path, member, damage):

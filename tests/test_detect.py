@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -113,6 +114,19 @@ class TestAnalyzeCell:
         config = DetectionConfig(mode=DetectionMode.HEURISTIC)
         [finding] = cell_findings(make_cell(1, 1, formula="=9732311"), "S", config)
         assert finding.kind is FindingKind.CONSTANT_ONLY_FORMULA
+
+    def test_name_beside_a_literal_is_a_calculation(self):
+        # a defined name is an operand as a reference is, so the 12 is a hard coding in both modes
+        for mode in DetectionMode:
+            cell = make_cell(1, 1, formula="=Rate*12")
+            [finding] = cell_findings(cell, "S", DetectionConfig(mode=mode))
+            assert finding.kind is FindingKind.HARD_CODED_CONSTANT, mode
+
+    @pytest.mark.parametrize("operators", ["*.", "*123", "+0"])
+    def test_operators_that_start_inside_a_number_are_refused(self, operators):
+        # the scan would read a second number inside one literal: 1.5 and 5 in =A1*1.5
+        with pytest.raises(ValueError, match="heuristic_operators: may not hold digits or '.'"):
+            DetectionConfig(mode=DetectionMode.HEURISTIC, heuristic_operators=frozenset(operators))
 
     @given(st.text(), st.sampled_from(list(DetectionMode)), st.sampled_from(["A1", "R1C1"]))
     @example("=A2*\u00b2", DetectionMode.HEURISTIC, "A1")
