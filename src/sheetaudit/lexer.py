@@ -205,15 +205,18 @@ def heuristic_scan(
     formula_text: str, operator_set: frozenset[str] = DEFAULT_OPERATOR_SET
 ) -> list[ConstantOccurrence]:
     """Legacy character scan: the number at each digit immediately preceded
-    by an operator-set character, ignoring digits inside string literals."""
+    by an operator-set character, ignoring digits inside string literals and
+    inside the number last read (a set holding a digit or ``.`` would split it)."""
     flagged: list[ConstantOccurrence] = []
     in_string = False
     prev = ""
+    end = 0  # the end of the number last read
     for i, ch in enumerate(formula_text):
         if ch == '"':
             in_string = not in_string
-        elif not in_string and "0" <= ch <= "9" and prev in operator_set:
+        elif not in_string and "0" <= ch <= "9" and prev in operator_set and i >= end:
             m = _HEURISTIC_NUMBER_RE.match(formula_text, i)
-            flagged.append(ConstantOccurrence(float(m.group()), i, m.end()))
+            end = m.end()
+            flagged.append(ConstantOccurrence(float(m.group()), i, end))
         prev = ch
     return flagged

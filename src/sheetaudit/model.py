@@ -140,9 +140,10 @@ class Workbook:
 
 
 class SheetError(ValueError):
-    """Sheet content that ``build_sheet`` refuses, with the fact alone as its message.
-    ``part`` is ``"cells"`` or ``"duplicate"`` and ``item`` a cell reference, or ``part`` is
-    ``"merged"``, ``"hidden_rows"`` or ``"hidden_cols"`` and ``item`` a position in it."""
+    """Sheet content that ``build_sheet`` refuses.  The message is the whole fact and names
+    what is at fault, so a loader only puts its location in front.  ``part`` is ``"cells"``
+    and ``item`` a cell reference, or ``part`` is ``"merged"``, ``"hidden_rows"`` or
+    ``"hidden_cols"`` and ``item`` a position in it."""
 
     def __init__(self, part: str, item: object, message: str):
         super().__init__(message)
@@ -167,13 +168,13 @@ def build_sheet(
         try:
             address, coords = parse(ref)
         except AddressError as exc:
-            raise SheetError("cells", ref, str(exc)) from None
+            raise SheetError("cells", ref, f"bad cell reference {ref!r}: {exc}") from None
         if formula is not None:
             formula = share(formula, formula)
         cell = new(Cell, (address, formula, value))
         if keep(coords, cell) is not cell:
-            earlier = built[coords].address.render()
-            raise SheetError("duplicate", ref, f"cells {earlier!r} and {ref!r} are the same cell")
+            at = f"{column_to_letters(coords[1])}{coords[0]}"
+            raise SheetError("cells", ref, f"{ref!r} names cell {at} a second time")
         if formula is None and value is None:  # checked as Cell.__new__ would, without its call
             raise SheetError("cells", ref, f"cell {address.render()} has neither formula nor value")
     regions = []
@@ -191,8 +192,11 @@ def _hidden(spans: Iterable[Span], part: str, limit: int) -> frozenset[int]:
     """Each index in some span, once however the spans overlap or abut."""
     spans = list(spans)
     for i, span in enumerate(spans):
-        if not all(type(index) is int and 1 <= index <= limit for index in span):
-            raise SheetError(part, i, f"indices must be integers from 1 to {limit}")
+        for index in span:
+            if not (type(index) is int and 1 <= index <= limit):
+                noun = "row" if part == "hidden_rows" else "column"
+                message = f"hidden {noun} {index!r} is not an index from 1 to {limit}"
+                raise SheetError(part, i, message)
     indices: list[int] = []
     end = 0  # every index in an earlier span is at most end
     for first, last in sorted(spans):
@@ -334,13 +338,7 @@ def _sheet_from_document(raw: object, location: str, parse: AddressMemo, share: 
     try:
         return build_sheet(name, visibility, cells, rows, cols, merged, parse, share)
     except SheetError as exc:
-        message = str(exc)
-        if exc.part == "duplicate":
-            coords = parse(exc.item)[1]
-            first = next(key for key in raw_cells if parse(key)[1] == coords)
-            message = f"keys {first!r} and {exc.item!r} name the same cell"
-        part = "cells" if exc.part == "duplicate" else exc.part
-        raise SchemaError(f"{location}/{part}/{exc.item}", message) from None
+        raise SchemaError(f"{location}/{exc.part}/{exc.item}", str(exc)) from None
 
 
 def _document_cells(raw_cells: dict, location: str) -> Iterator[tuple[str, object, object]]:

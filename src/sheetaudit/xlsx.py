@@ -19,9 +19,8 @@ from contextlib import closing
 from pathlib import Path
 from xml.etree import ElementTree
 
-from .addresses import MAX_COLUMNS, MAX_ROWS, AddressError, AddressMemo, address_memo
-from .addresses import column_to_letters
-from .model import Scalar, SheetError, SheetVisibility, Span, Workbook, build_sheet
+from .addresses import AddressError, AddressMemo, address_memo, column_to_letters
+from .model import Scalar, SheetVisibility, Span, Workbook, build_sheet
 from .model import collector_paused, require_regular_file
 
 _NS = {
@@ -49,7 +48,6 @@ _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 # (-1, 1_0, " 0 "); nine digits hold every index the format allows
 _INDEX_RE = re.compile(r"[0-9]{1,9}")
 _BOOLEANS = {"0": False, "1": True, "false": False, "true": True}
-_LIMITS = {"row": MAX_ROWS, "col": MAX_COLUMNS}
 
 # The most bytes one package member may inflate to.  A few kilobytes of deflated
 # data can inflate to gigabytes, so a member past this is an error.  The cap bounds
@@ -98,12 +96,10 @@ def load_xlsx(path: str | Path) -> Workbook:
                 with closing(_parse(archive, target, 2)) as xml:  # closed if a cell fails
                     cells = _read_cells(xml, shared, parse, merged, rows, cols)
                     sheet = build_sheet(name, visibility, cells, rows, cols, merged, parse, share)
-            except (KeyError, ValueError) as exc:  # only _parse raises a KeyError
-                # text, not exc: a local holding exc would tie its traceback to this frame
-                problem = (
-                    f"missing part {target}" if isinstance(exc, KeyError) else _worded(exc, rows, cols)
-                )
-                raise FormatError(f"sheet {name!r}: {problem}") from None
+            except KeyError:  # only _parse raises one
+                raise FormatError(f"sheet {name!r}: missing part {target}") from None
+            except ValueError as exc:
+                raise FormatError(f"sheet {name!r}: {exc}") from None
             sheets.append(sheet)
 
     try:
@@ -190,8 +186,8 @@ def _read_cells(
                 ref = c.get("r") or f"{column_to_letters(column + 1)}{row_number}"
                 try:
                     column = parse(ref)[1][1]
-                except AddressError:
-                    raise ValueError(f"bad cell reference {ref!r}") from None
+                except AddressError as exc:  # worded as build_sheet words it
+                    raise ValueError(f"bad cell reference {ref!r}: {exc}") from None
                 try:
                     formula, value = _read_cell_content(c, shared, shared_formulas)
                 except ValueError as exc:
@@ -250,30 +246,14 @@ def _read_cell_content(
 
 
 def _index_attr(elem: ElementTree.Element, key: str, absent: int | None = None) -> int:
-    """A row or column index attribute of ASCII digits; ``absent`` if missing."""
+    """A row or column index attribute of ASCII digits; ``absent`` if missing.  Whether
+    the index is within the sheet is ``build_sheet``'s check."""
     raw = elem.get(key)
     if raw is None and absent is not None:
         return absent
     if raw is None or not _INDEX_RE.fullmatch(raw):
-        raise ValueError(_not_an_index(elem.tag.rpartition("}")[2], key, raw))
+        raise ValueError(f"<{elem.tag.rpartition('}')[2]}> {key}={raw!r} is not an index")
     return int(raw)
-
-
-def _not_an_index(tag: str, key: str, raw: str | None) -> str:
-    return f"<{tag}> {key}={raw!r} is not an index from 1 to {_LIMITS[tag]}"
-
-
-def _worded(exc: ValueError, rows: list[Span], cols: list[Span]) -> str:
-    """A fault in this reader's words: a hidden span the sheet builder refused names its
-    attribute, as ``_index_attr`` names a bad one."""
-    if not isinstance(exc, SheetError) or exc.part not in ("hidden_rows", "hidden_cols"):
-        return str(exc)
-    if exc.part == "hidden_rows":
-        return _not_an_index("row", "r", str(rows[exc.item][0]))
-    first, last = cols[exc.item]
-    if 1 <= first <= MAX_COLUMNS:
-        return _not_an_index("col", "max", str(last))
-    return _not_an_index("col", "min", str(first))
 
 
 def _parse_number(raw: str) -> Scalar:

@@ -499,6 +499,8 @@ MALFORMED_SHEETS = {
     "row-r-max.xlsx": [{"rows": '<row r="1048577" hidden="1"/>'}],
     "cell-col-max.xlsx": [cell_row("XFE1")],
     "cell-row-max.xlsx": [cell_row("A1048577")],
+    # no content, so the sheet builder never sees it; the reader's own parse of r refuses it
+    "cell-col-max-empty.xlsx": [{"rows": '<row r="1"><c r="XFE1"/></row>'}],
     "merge-max.xlsx": [{"merged": ["A1:XFE1"]}],
     "bad-number.xlsx": [cell_row("A1", "<v>abc</v>")],
     "number-underscore.xlsx": [cell_row("A1", "<v>1_000</v>")],
@@ -582,18 +584,19 @@ def test_whole_document_errors_give_the_message_alone(tmp_path, capsys):
 
 def test_malformed_sheet_messages(tmp_path):
     # every MALFORMED_SHEETS input with the message it loads with: its sheet, then its cell
+    limits = "row must be from 1 to 1048576 and column from 1 to 16384, got"
     table = {
         "merge-ref.xlsx": "sheet 'S': cannot parse range 'A1:ZZ': cannot parse cell address 'ZZ'",
-        "col-min.xlsx": "sheet 'S': <col> min='x' is not an index from 1 to 16384",
-        "col-no-bounds.xlsx": "sheet 'S': <col> min=None is not an index from 1 to 16384",
-        "col-negative.xlsx": "sheet 'S': <col> min='-1' is not an index from 1 to 16384",
-        "row-r.xlsx": "sheet 'S': <row> r='x' is not an index from 1 to 1048576",
-        "col-max.xlsx": "sheet 'S': <col> max='16385' is not an index from 1 to 16384",
-        "row-r-max.xlsx": "sheet 'S': <row> r='1048577' is not an index from 1 to 1048576",
-        "cell-col-max.xlsx": "sheet 'S': bad cell reference 'XFE1'",
-        "cell-row-max.xlsx": "sheet 'S': bad cell reference 'A1048577'",
-        "merge-max.xlsx": "sheet 'S': cannot parse range 'A1:XFE1': row must be from 1 to"
-        " 1048576 and column from 1 to 16384, got row=1 column=16385",
+        "col-min.xlsx": "sheet 'S': <col> min='x' is not an index",
+        "col-no-bounds.xlsx": "sheet 'S': <col> min=None is not an index",
+        "col-negative.xlsx": "sheet 'S': <col> min='-1' is not an index",
+        "row-r.xlsx": "sheet 'S': <row> r='x' is not an index",
+        "col-max.xlsx": "sheet 'S': hidden column 16385 is not an index from 1 to 16384",
+        "row-r-max.xlsx": "sheet 'S': hidden row 1048577 is not an index from 1 to 1048576",
+        "cell-col-max.xlsx": f"sheet 'S': bad cell reference 'XFE1': {limits} row=1 column=16385",
+        "cell-row-max.xlsx": f"sheet 'S': bad cell reference 'A1048577': {limits} row=1048577 column=1",
+        "cell-col-max-empty.xlsx": f"sheet 'S': bad cell reference 'XFE1': {limits} row=1 column=16385",
+        "merge-max.xlsx": f"sheet 'S': cannot parse range 'A1:XFE1': {limits} row=1 column=16385",
         "bad-number.xlsx": "sheet 'S': cell A1: bad number 'abc'",
         "number-underscore.xlsx": "sheet 'S': cell A1: bad number '1_000'",
         "number-spaces.xlsx": "sheet 'S': cell A1: bad number ' 7 '",
@@ -601,7 +604,7 @@ def test_malformed_sheet_messages(tmp_path):
         "number-inf.xlsx": "sheet 'S': cell A1: bad number 'inf'",
         "shared-no-master.xlsx": "sheet 'S': cell C2: shared formula si='9' has no master",
         "duplicate-sheets.xlsx": "duplicate sheet names in workbook 'duplicate-sheets.xlsx'",
-        "duplicate-cell.xlsx": "sheet 'S': cells 'A1' and 'a1' are the same cell",
+        "duplicate-cell.xlsx": "sheet 'S': 'a1' names cell A1 a second time",
         "boolean-text.xlsx": "sheet 'S': cell A1: bad boolean 'abc'",
         "boolean-two.xlsx": "sheet 'S': cell A1: bad boolean '2'",
         "shared-string-index.xlsx": "sheet 'S': cell A1: bad shared string index '-1'",

@@ -112,9 +112,9 @@ GOLDEN = {
     "errors/constants.csv": "ed6d67d29a8a0fb601528d4c1952ee2e38812b508faeca8a7b02d1943fde5045",
     "errors/constants.json": "908e784ba1fe5b00fffd160837ec59095c740b568997f3b58d27ff7474ead77e",
     "errors/constants.txt": "c5cfb102f053819508950fee0509b4f25dbdb93bb0b822c414443f0c25305106",
-    "errors/summary.csv": "b00d15164cf784a162c2129c99761c83658d811f91f349be5f36877ea00972b6",
-    "errors/summary.json": "0c64b9b9d02e839708584a94bd33a66b9eb104759fc965af559784afea56ef44",
-    "errors/summary.txt": "ec13c08ffed1f428532cd5f0660f95dbeb57d61ed6cb7aec144139d4b27167ed",
+    "errors/summary.csv": "416e021c1d813233cfdd215be9f26f7b3fdcfe994edc993f63a3ecf2f9063d58",
+    "errors/summary.json": "b96bc836bed8038e055bdf9e2fa686b96ff3746d5f8412433428697fb547a7c4",
+    "errors/summary.txt": "34bec793364ad9309b955084ff7960a52755bcc61257f0544786346c8e4ed097",
     "errors/table3.findings.csv": "92517a650d8668f341f2e10ccde3c97b2a70b28e74f6d21c1c5087bae40ee5a5",
     "errors/table3.findings.json": "42569e55061f8fc44cd2b8ff1fad716d570bcee7fd36deb3ea72e6445379a546",
     "errors/table3.findings.txt": "4dde6bf8a33795b99cc2a3c30cfbda28ffd17d6aa7f8b5b4490306d9414ccd8e",

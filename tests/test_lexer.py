@@ -216,6 +216,11 @@ class TestHeuristicScan:
     def test_digits_inside_strings_ignored(self):
         assert heuristic_scan('="x"&"12"&B2') == []
 
+    def test_no_number_starts_inside_the_one_last_read(self):
+        # a set holding a digit or "." (DetectionConfig refuses one) flags each number once
+        assert heuristic_scan("=A1*1.5", frozenset("*.")) == [ConstantOccurrence(1.5, 4, 7)]
+        assert heuristic_scan("=A1*123", frozenset("*123")) == [ConstantOccurrence(123.0, 4, 7)]
+
     def test_both_detectors_return_the_findings_type(self):
         assert sheetaudit.ConstantOccurrence is detect.ConstantOccurrence is ConstantOccurrence
         formula = "=A1*12.5"

@@ -196,57 +196,64 @@ def test_both_loaders_read_one_workbook_alike(model):
 
 
 PAST_COLUMN = "row must be from 1 to 1048576 and column from 1 to 16384, got row=1 column=16385"
-# one sheet defect per row, as a JSON sheet and as an XLSX sheet, each with the message its
-# loader gives: the sheet builder finds each one, and each loader only words it
+# one sheet defect per row, as a JSON sheet with the pointer its fault is at and as an XLSX
+# sheet, then the one fact both loaders give: the sheet builder words it, and each loader
+# only puts its location in front
 SHEET_DEFECTS = {
     "cell-twice": (
         {"cells": {"A1": {"v": 1}, "a1": {"v": 2}}},
-        "/sheets/0/cells/a1: keys 'A1' and 'a1' name the same cell",
+        "/sheets/0/cells/a1",
         {"rows": '<row r="1"><c r="A1"><v>1</v></c><c r="a1"><v>2</v></c></row>'},
-        "sheet 'S': cells 'A1' and 'a1' are the same cell",
+        "'a1' names cell A1 a second time",
+    ),
+    "cell-twice-lower-case-first": (
+        {"cells": {"a1": {"v": 1}, "A1": {"v": 2}}},
+        "/sheets/0/cells/A1",
+        {"rows": '<row r="1"><c r="a1"><v>1</v></c><c r="A1"><v>2</v></c></row>'},
+        "'A1' names cell A1 a second time",
     ),
     "bad-reference": (
         {"cells": {"A1": {"v": 1}, "XFE1": {"v": 2}}},
-        f"/sheets/0/cells/XFE1: {PAST_COLUMN}",
+        "/sheets/0/cells/XFE1",
         {"rows": '<row r="1"><c r="A1"><v>1</v></c><c r="XFE1"><v>2</v></c></row>'},
-        "sheet 'S': bad cell reference 'XFE1'",
+        f"bad cell reference 'XFE1': {PAST_COLUMN}",
     ),
     "hidden-row-past-limit": (
         {"hidden_rows": [3, 1_048_577]},
-        "/sheets/0/hidden_rows/1: indices must be integers from 1 to 1048576",
+        "/sheets/0/hidden_rows/1",
         {"rows": '<row r="3" hidden="1"/><row r="1048577" hidden="1"/>'},
-        "sheet 'S': <row> r='1048577' is not an index from 1 to 1048576",
+        "hidden row 1048577 is not an index from 1 to 1048576",
     ),
     "hidden-column-past-limit": (
         {"hidden_cols": [2, 16_385]},
-        "/sheets/0/hidden_cols/1: indices must be integers from 1 to 16384",
+        "/sheets/0/hidden_cols/1",
         {"cols": '<cols><col min="2" max="2" hidden="1"/><col min="3" max="16385" hidden="1"/>'
                  "</cols>"},
-        "sheet 'S': <col> max='16385' is not an index from 1 to 16384",
+        "hidden column 16385 is not an index from 1 to 16384",
     ),
     "hidden-column-zero": (
         {"hidden_cols": [0]},
-        "/sheets/0/hidden_cols/0: indices must be integers from 1 to 16384",
+        "/sheets/0/hidden_cols/0",
         {"cols": '<cols><col min="0" max="2" hidden="1"/></cols>'},
-        "sheet 'S': <col> min='0' is not an index from 1 to 16384",
+        "hidden column 0 is not an index from 1 to 16384",
     ),
     "bad-merge": (
         {"merged": ["A1:B2", "A1:XFE1"]},
-        f"/sheets/0/merged/1: cannot parse range 'A1:XFE1': {PAST_COLUMN}",
+        "/sheets/0/merged/1",
         {"merged": ["A1:B2", "A1:XFE1"]},
-        f"sheet 'S': cannot parse range 'A1:XFE1': {PAST_COLUMN}",
+        f"cannot parse range 'A1:XFE1': {PAST_COLUMN}",
     ),
 }
 
 
 @pytest.mark.parametrize("defect", SHEET_DEFECTS)
 def test_both_loaders_refuse_one_sheet_defect(tmp_path, defect):
-    json_sheet, json_message, xlsx_sheet, xlsx_message = SHEET_DEFECTS[defect]
+    json_sheet, pointer, xlsx_sheet, fact = SHEET_DEFECTS[defect]
     document = {"name": "model", "sheets": [{"name": "S", **json_sheet}]}
     (tmp_path / "model.json").write_text(json.dumps(document), encoding="utf-8")
     with pytest.raises(SchemaError) as from_json:
         load_json(tmp_path / "model.json")
-    assert str(from_json.value) == json_message
+    assert str(from_json.value) == f"{pointer}: {fact}"
     with pytest.raises(FormatError) as from_xlsx:
         load_xlsx(build_xlsx(tmp_path / "model.xlsx", [{"name": "S", **xlsx_sheet}]))
-    assert str(from_xlsx.value) == xlsx_message
+    assert str(from_xlsx.value) == f"sheet 'S': {fact}"

@@ -474,7 +474,7 @@ class TestBatchSummary:
         assert "ERROR: not a ZIP package" in body
 
     def test_error_message_sets_no_column_width(self):
-        message = "/sheets/0/cells/a1: keys 'A1' and 'a1' name the same cell!!!"
+        message = "/sheets/0/cells/a1: 'a1' names cell A1 a second time!!!!!!!!"
         assert len(message) == 60
         reports = summary_reports() + [AnalysisReport("keys.json", "k", 0, 0, 0, 0, error=message)]
         body = render_batch_summary(reports, Format.TEXT).body.decode()
