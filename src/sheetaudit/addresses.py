@@ -87,15 +87,18 @@ class CellAddress(_AddressFields):
 
 
 def parse_address(text: str) -> CellAddress:
-    """Parse a bare A1 or absolute R1C1 address (no sheet prefix)."""
+    """Parse a bare A1 or absolute R1C1 address (no sheet prefix); each fault quotes ``text``."""
     m = _ADDRESS_RE.match(text)
     if m is None:
         raise AddressError(f"cannot parse cell address {text!r}")
     r1c1_row, r1c1_column, col_dollar, letters, row_dollar, row = m.groups()
-    if r1c1_row is not None:
-        return CellAddress(int(r1c1_row), int(r1c1_column), False, False, R1C1)
-    column = _letters_to_column(letters.upper())
-    return CellAddress(int(row), column, col_dollar == "$", row_dollar == "$")
+    try:
+        if r1c1_row is not None:
+            return CellAddress(int(r1c1_row), int(r1c1_column), False, False, R1C1)
+        column = _letters_to_column(letters.upper())
+        return CellAddress(int(row), column, col_dollar == "$", row_dollar == "$")
+    except AddressError as exc:
+        raise AddressError(f"cell address {text!r} is outside the sheet: {exc}") from None
 
 
 AddressMemo = Callable[[str], tuple[CellAddress, tuple[int, int]]]

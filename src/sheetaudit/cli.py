@@ -69,7 +69,7 @@ def _load_config_document(path: Path) -> dict:
     try:
         doc = read_json(path)
     except OSError as exc:
-        raise OptionsError(f"config {path} cannot be read: {exc}") from None
+        raise OptionsError(f"config {path} cannot be read: {exc.strerror or exc}") from None
     except SchemaError as exc:  # "not valid JSON: …", "JSON nested too deeply", …
         raise OptionsError(f"config {path} is {exc}") from None
     if not isinstance(doc, dict):

@@ -64,8 +64,6 @@ class LexError(ValueError):
 # included so argument-position constants (e.g. a trailing IF branch)
 # are caught; a narrower set can be passed for strict legacy behaviour.
 DEFAULT_OPERATOR_SET = frozenset("=+-*/^&<>(,;")
-# the number the legacy scan reads from a flagged digit: no exponent, no leading "."
-_HEURISTIC_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 _ERROR_LITERALS = (
     "#GETTING_DATA",
@@ -84,6 +82,7 @@ _REF_PATTERNS = {
     A1: r"[A-Za-z]{1,3}\$?[0-9]+",
     R1C1: r"[Rr](?:\[-?[0-9]+\]|[0-9]+)?[Cc](?:\[-?[0-9]+\]|[0-9]+)?",
 }
+_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[Ee][+-]?[0-9]+)?"
 _WORD = r"[A-Za-z_][A-Za-z0-9_.]*"
 # a reference ends where none of these follows it
 _REF_END = r"(?![A-Za-z0-9_.$])"
@@ -131,7 +130,8 @@ def _grammar(ref_style: str) -> re.Pattern:
         # (?!") keeps backtracking from closing on the first half of a "" escape
         (TokenKind.STRING_LITERAL, r'"(?:[^"]|"")*"(?!")'),
         (TokenKind.ERROR_LITERAL, "|".join(map(re.escape, _ERROR_LITERALS))),
-        (TokenKind.NUMERIC_LITERAL, r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[Ee][+-]?[0-9]+)?"),
+        # the literal is divided by 100 once per "%" the lookahead takes: 50%% is 0.005
+        (TokenKind.NUMERIC_LITERAL, rf"{_NUMBER}(?=(?P<percent>%*))"),
         (TokenKind.ARRAY_BRACE, r"[{}]"),
         (TokenKind.OPEN_PAREN, r"\("),
         (TokenKind.CLOSE_PAREN, r"\)"),
@@ -161,10 +161,8 @@ def tokenize(formula_text: str, ref_style: str = A1) -> list[Token]:
     or characters outside the grammar; callers record such cells as
     unparseable instead of aborting the workbook.
     """
-    text = formula_text
     tokens: list[Token] = []
-    divided = None  # index of the literal the last "%" divided, or None
-    for m in _GRAMMARS[R1C1 if ref_style == R1C1 else A1].finditer(text):
+    for m in _GRAMMARS[R1C1 if ref_style == R1C1 else A1].finditer(formula_text):
         kind = _KINDS.get(m.lastgroup)
         if kind is None:
             raise LexError(_FAULTS[m.lastgroup] or f"illegal character {m.group()!r}", m.start())
@@ -172,17 +170,10 @@ def tokenize(formula_text: str, ref_style: str = A1) -> list[Token]:
         value = None
         if kind is TokenKind.NUMERIC_LITERAL:
             value = float(m.group())
-        elif kind is TokenKind.PERCENT_SUFFIX:
-            # "%" is a postfix operator that repeats: each one in a run after
-            # a literal divides it by 100 again, so 50%% is 0.005
-            last = tokens[-1].kind if tokens else None
-            if last is not TokenKind.PERCENT_SUFFIX:
-                divided = len(tokens) - 1 if last is TokenKind.NUMERIC_LITERAL else None
-            if divided is not None:
-                literal = tokens[divided]
-                tokens[divided] = literal._replace(numeric_value=literal.numeric_value / 100.0)
+            for _ in m.group("percent"):
+                value /= 100.0
         # Token has no checks in __new__ to skip, so the tuple is built directly
-        tokens.append(tuple.__new__(Token, (kind, text[start:end], start, end, value)))
+        tokens.append(tuple.__new__(Token, (kind, formula_text[start:end], start, end, value)))
     return tokens
 
 
@@ -207,16 +198,13 @@ def heuristic_scan(
     """Legacy character scan: the number at each digit immediately preceded
     by an operator-set character, ignoring digits inside string literals and
     inside the number last read (a set holding a digit or ``.`` would split it)."""
-    flagged: list[ConstantOccurrence] = []
-    in_string = False
-    prev = ""
-    end = 0  # the end of the number last read
-    for i, ch in enumerate(formula_text):
-        if ch == '"':
-            in_string = not in_string
-        elif not in_string and "0" <= ch <= "9" and prev in operator_set and i >= end:
-            m = _HEURISTIC_NUMBER_RE.match(formula_text, i)
-            end = m.end()
-            flagged.append(ConstantOccurrence(float(m.group()), i, end))
-        prev = ch
-    return flagged
+    if not operator_set:  # "[]" is not a valid class
+        return []
+    operators = re.escape("".join(sorted(operator_set)))
+    # a string, closed or left open, or a number after an operator; none starts in the last
+    pattern = rf'"[^"]*"?|(?<=[{operators}])([0-9]+(?:\.[0-9]+)?)'
+    return [
+        ConstantOccurrence(float(m.group()), m.start(), m.end())
+        for m in re.finditer(pattern, formula_text)
+        if m.lastindex
+    ]

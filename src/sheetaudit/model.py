@@ -92,7 +92,7 @@ def parse_range(text: str) -> Rectangle:
         if not second:
             second = first
         return Rectangle(parse_address(first), parse_address(second))
-    except (AddressError, ValueError) as exc:
+    except ValueError as exc:  # an AddressError is one
         raise ValueError(f"cannot parse range {text!r}: {exc}") from None
 
 
@@ -168,7 +168,7 @@ def build_sheet(
         try:
             address, coords = parse(ref)
         except AddressError as exc:
-            raise SheetError("cells", ref, f"bad cell reference {ref!r}: {exc}") from None
+            raise SheetError("cells", ref, str(exc)) from None
         if formula is not None:
             formula = share(formula, formula)
         cell = new(Cell, (address, formula, value))
@@ -176,7 +176,7 @@ def build_sheet(
             at = f"{column_to_letters(coords[1])}{coords[0]}"
             raise SheetError("cells", ref, f"{ref!r} names cell {at} a second time")
         if formula is None and value is None:  # checked as Cell.__new__ would, without its call
-            raise SheetError("cells", ref, f"cell {address.render()} has neither formula nor value")
+            raise SheetError("cells", ref, f"cell {ref!r} has neither formula nor value")
     regions = []
     for i, text in enumerate(merged):
         try:

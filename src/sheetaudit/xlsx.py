@@ -19,7 +19,7 @@ from contextlib import closing
 from pathlib import Path
 from xml.etree import ElementTree
 
-from .addresses import AddressError, AddressMemo, address_memo, column_to_letters
+from .addresses import AddressMemo, address_memo, column_to_letters
 from .model import Scalar, SheetVisibility, Span, Workbook, build_sheet
 from .model import collector_paused, require_regular_file
 
@@ -184,10 +184,7 @@ def _read_cells(
             column = 0
             for c in elem.findall(_C):
                 ref = c.get("r") or f"{column_to_letters(column + 1)}{row_number}"
-                try:
-                    column = parse(ref)[1][1]
-                except AddressError as exc:  # worded as build_sheet words it
-                    raise ValueError(f"bad cell reference {ref!r}: {exc}") from None
+                column = parse(ref)[1][1]
                 try:
                     formula, value = _read_cell_content(c, shared, shared_formulas)
                 except ValueError as exc:

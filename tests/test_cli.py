@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import sheetaudit
 from sheetaudit import xlsx
-from sheetaudit.cli import RunOptions, build_config, main
+from sheetaudit.cli import RunOptions, build_config, main, run
 from sheetaudit.detect import (
     AnalysisReport,
     DataRegion,
@@ -244,6 +244,41 @@ class TestExitCodes:
         )
         assert code == 2
 
+
+    def test_unreadable_config_names_its_path_once(self, tmp_path, capsys):
+        write_clean(tmp_path / "ok.json")
+        (tmp_path / "folder.json").mkdir()
+        reasons = {"missing.json": "No such file or directory", "folder.json": "Is a directory"}
+        for name, reason in reasons.items():
+            config = tmp_path / name
+            args = ["--out", str(tmp_path / "out"), "--config", str(config)]
+            assert main([str(tmp_path / "ok.json"), *args]) == 2
+            assert capsys.readouterr().err == f"error: config {config} cannot be read: {reason}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            ('{"ignore_constants": [1e999]}', "ignore_constants must contain finite numbers"),
+            ('{"max_constants_per_cell": 0}', "max_constants_per_cell must be positive"),
+        ],
+    )
+    def test_config_value_out_of_range_exits_two(self, tmp_path, capsys, document, message):
+        config = tmp_path / "conf.json"
+        config.write_text(document)
+        write_clean(tmp_path / "ok.json")
+        args = ["--out", str(tmp_path / "out"), "--config", str(config)]
+        assert main([str(tmp_path / "ok.json"), *args]) == 2
+        assert capsys.readouterr().err == f"error: config {message}\n"
+
+    @pytest.mark.parametrize("inputs,formats", [([], [Format.TEXT]), (["ok.json"], [])])
+    def test_run_without_inputs_or_formats_exits_two(self, tmp_path, capsys, inputs, formats):
+        write_clean(tmp_path / "ok.json")
+        inputs = [str(tmp_path / name) for name in inputs]
+        assert run(RunOptions(inputs, tmp_path / "out", formats)) == 2
+        message = "error: need at least one input pattern and one format\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
 
     def test_missing_worksheet_part_is_an_error_row(self, tmp_path, capsys):
         rows = '<row r="1"><c r="A1"><f>B1/12</f><v>4</v></c></row>'
@@ -584,7 +619,7 @@ def test_whole_document_errors_give_the_message_alone(tmp_path, capsys):
 
 def test_malformed_sheet_messages(tmp_path):
     # every MALFORMED_SHEETS input with the message it loads with: its sheet, then its cell
-    limits = "row must be from 1 to 1048576 and column from 1 to 16384, got"
+    limits = "is outside the sheet: row must be from 1 to 1048576 and column from 1 to 16384, got"
     table = {
         "merge-ref.xlsx": "sheet 'S': cannot parse range 'A1:ZZ': cannot parse cell address 'ZZ'",
         "col-min.xlsx": "sheet 'S': <col> min='x' is not an index",
@@ -593,10 +628,13 @@ def test_malformed_sheet_messages(tmp_path):
         "row-r.xlsx": "sheet 'S': <row> r='x' is not an index",
         "col-max.xlsx": "sheet 'S': hidden column 16385 is not an index from 1 to 16384",
         "row-r-max.xlsx": "sheet 'S': hidden row 1048577 is not an index from 1 to 1048576",
-        "cell-col-max.xlsx": f"sheet 'S': bad cell reference 'XFE1': {limits} row=1 column=16385",
-        "cell-row-max.xlsx": f"sheet 'S': bad cell reference 'A1048577': {limits} row=1048577 column=1",
-        "cell-col-max-empty.xlsx": f"sheet 'S': bad cell reference 'XFE1': {limits} row=1 column=16385",
-        "merge-max.xlsx": f"sheet 'S': cannot parse range 'A1:XFE1': {limits} row=1 column=16385",
+        "cell-col-max.xlsx": f"sheet 'S': cell address 'XFE1' {limits} row=1 column=16385",
+        "cell-row-max.xlsx": f"sheet 'S': cell address 'A1048577' {limits} row=1048577 column=1",
+        "cell-col-max-empty.xlsx": f"sheet 'S': cell address 'XFE1' {limits} row=1 column=16385",
+        "merge-max.xlsx": (
+            f"sheet 'S': cannot parse range 'A1:XFE1':"
+            f" cell address 'XFE1' {limits} row=1 column=16385"
+        ),
         "bad-number.xlsx": "sheet 'S': cell A1: bad number 'abc'",
         "number-underscore.xlsx": "sheet 'S': cell A1: bad number '1_000'",
         "number-spaces.xlsx": "sheet 'S': cell A1: bad number ' 7 '",

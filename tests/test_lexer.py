@@ -82,6 +82,12 @@ class TestTokenize:
         # a run divides only the literal it follows; a run after a reference divides nothing
         assert extract_constants(tokenize("=A1%%+5%%%*2%")) == [(5e-06, 6, 7), (0.02, 11, 12)]
 
+    @pytest.mark.parametrize("style", ["A1", "R1C1"])
+    def test_percent_run_divides_in_either_style(self, style):
+        assert extract_constants(tokenize("=5%%%", style)) == [(5e-06, 1, 2)]
+        # one division after another: .3 / 100 / 100 is 3e-05, .3 / 1e4 is 2.9999999999999997e-05
+        assert extract_constants(tokenize("=.3%%", style)) == [(3e-05, 1, 3)]
+
     def test_function_name_with_digits(self):
         assert texts_of("=LOG10(A1)", TokenKind.FUNCTION_NAME) == ["LOG10"]
         assert extract_constants(tokenize("=LOG10(A1)")) == []
@@ -215,11 +221,22 @@ class TestHeuristicScan:
 
     def test_digits_inside_strings_ignored(self):
         assert heuristic_scan('="x"&"12"&B2') == []
+        # a string left open runs to the end
+        assert heuristic_scan('=A1&"x*2') == []
 
     def test_no_number_starts_inside_the_one_last_read(self):
         # a set holding a digit or "." (DetectionConfig refuses one) flags each number once
         assert heuristic_scan("=A1*1.5", frozenset("*.")) == [ConstantOccurrence(1.5, 4, 7)]
         assert heuristic_scan("=A1*123", frozenset("*123")) == [ConstantOccurrence(123.0, 4, 7)]
+
+    def test_empty_operator_set_flags_nothing(self):
+        assert heuristic_scan("=A1*2", frozenset()) == []
+
+    def test_regex_special_operators_match_themselves(self):
+        text = "=1-2]3^4\\5a6"
+        assert heuristic_scan(text, frozenset("-]^\\")) == [
+            ConstantOccurrence(float(n), text.index(n), text.index(n) + 1) for n in "2345"
+        ]
 
     def test_both_detectors_return_the_findings_type(self):
         assert sheetaudit.ConstantOccurrence is detect.ConstantOccurrence is ConstantOccurrence

@@ -195,7 +195,10 @@ def test_both_loaders_read_one_workbook_alike(model):
     assert unnamed(analyze_workbook(from_xlsx, config)) == unnamed(analyze_workbook(from_json, config))
 
 
-PAST_COLUMN = "row must be from 1 to 1048576 and column from 1 to 16384, got row=1 column=16385"
+PAST_COLUMN = (
+    "cell address 'XFE1' is outside the sheet:"
+    " row must be from 1 to 1048576 and column from 1 to 16384, got row=1 column=16385"
+)
 # one sheet defect per row, as a JSON sheet with the pointer its fault is at and as an XLSX
 # sheet, then the one fact both loaders give: the sheet builder words it, and each loader
 # only puts its location in front
@@ -216,7 +219,13 @@ SHEET_DEFECTS = {
         {"cells": {"A1": {"v": 1}, "XFE1": {"v": 2}}},
         "/sheets/0/cells/XFE1",
         {"rows": '<row r="1"><c r="A1"><v>1</v></c><c r="XFE1"><v>2</v></c></row>'},
-        f"bad cell reference 'XFE1': {PAST_COLUMN}",
+        PAST_COLUMN,
+    ),
+    "unparseable-reference": (
+        {"cells": {"ZZ": {"v": 1}}},
+        "/sheets/0/cells/ZZ",
+        {"rows": '<row r="1"><c r="ZZ"><v>1</v></c></row>'},
+        "cannot parse cell address 'ZZ'",
     ),
     "hidden-row-past-limit": (
         {"hidden_rows": [3, 1_048_577]},

@@ -209,21 +209,49 @@ class TestJsonInterchange:
             workbook_from_document(doc)
 
     def test_cell_without_content_rejected(self):
-        # every check on one JSON cell, with the location and message it reports
+        # every check on one JSON cell, with the location and message it reports: each names
+        # the cell by its key as spelt
         table = [
-            ({}, "/sheets/0/cells/A1: cell A1 has neither formula nor value"),
-            ({"f": None, "v": None}, "/sheets/0/cells/A1: cell A1 has neither formula nor value"),
-            ({"f": 3}, "/sheets/0/cells/A1/f: formula must be a string"),
-            ({"v": [1]}, "/sheets/0/cells/A1/v: value must be a scalar"),
-            ({"v": 1e999}, "/sheets/0/cells/A1/v: value must be a finite number"),
-            ({"f": "=A1", "x": 1}, "/sheets/0/cells/A1: unknown key 'x'"),
-            ("A", "/sheets/0/cells/A1: cell must be an object"),
+            ({}, "/sheets/0/cells/a1: cell 'a1' has neither formula nor value"),
+            ({"f": None, "v": None}, "/sheets/0/cells/a1: cell 'a1' has neither formula nor value"),
+            ({"f": 3}, "/sheets/0/cells/a1/f: formula must be a string"),
+            ({"v": [1]}, "/sheets/0/cells/a1/v: value must be a scalar"),
+            ({"v": 1e999}, "/sheets/0/cells/a1/v: value must be a finite number"),
+            ({"f": "=A1", "x": 1}, "/sheets/0/cells/a1: unknown key 'x'"),
+            ("A", "/sheets/0/cells/a1: cell must be an object"),
         ]
         for cell, message in table:
-            doc = {"name": "x", "sheets": [{"name": "s", "cells": {"A1": cell}}]}
+            doc = {"name": "x", "sheets": [{"name": "s", "cells": {"a1": cell}}]}
             with pytest.raises(SchemaError) as info:
                 workbook_from_document(doc)
             assert str(info.value) == message, cell
+
+    def test_document_and_sheet_faults_rejected(self):
+        # every check on the document's and a sheet's own keys, with its location and message
+        table = [
+            ({"ref_style": "a1"}, "/ref_style: must be 'A1' or 'R1C1', got 'a1'"),
+            ({"sheets": {}}, "/sheets: must be an array"),
+            ({"sheets": ["s"]}, "/sheets/0: sheet must be an object"),
+            ({"sheets": [{}]}, "/sheets/0/name: sheet name must be a nonempty string"),
+            ({"sheets": [{"name": ""}]}, "/sheets/0/name: sheet name must be a nonempty string"),
+            (
+                {"sheets": [{"name": "s", "visibility": "shown"}]},
+                "/sheets/0/visibility: unknown visibility 'shown'",
+            ),
+            ({"sheets": [{"name": "s", "cells": []}]}, "/sheets/0/cells: must be an object"),
+            (
+                {"sheets": [{"name": "s", "hidden_rows": 3}]},
+                "/sheets/0/hidden_rows: must be an array of integers",
+            ),
+            (
+                {"sheets": [{"name": "s", "hidden_cols": {}}]},
+                "/sheets/0/hidden_cols: must be an array of integers",
+            ),
+        ]
+        for fields, message in table:
+            with pytest.raises(SchemaError) as info:
+                workbook_from_document({"name": "x", **fields})
+            assert str(info.value) == message, fields
 
     def test_formula_without_equals_gets_one(self):
         doc = {"name": "x", "sheets": [{"name": "s", "cells": {"A1": {"f": "A1*2"}}}]}

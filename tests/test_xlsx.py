@@ -290,7 +290,8 @@ class TestLoadXlsx:
     def test_cell_without_r_past_the_last_column_is_an_error(self, tmp_path):
         rows = '<row r="1"><c r="XFD1"><v>1</v></c><c><v>2</v></c></row>'
         path = build_xlsx(tmp_path / "x.xlsx", [{"name": "S", "rows": rows}])
-        with pytest.raises(FormatError, match="bad cell reference 'XFE1'"):
+        message = "^sheet 'S': cell address 'XFE1' is outside the sheet: "
+        with pytest.raises(FormatError, match=message):
             load_xlsx(path)
 
     def test_not_a_zip_raises_format_error(self, tmp_path):
@@ -316,6 +317,11 @@ class TestLoadXlsx:
             archive.writestr("hello.txt", "hi")
         with pytest.raises(FormatError):
             load_xlsx(path)
+
+    def test_workbook_without_sheets_raises(self, tmp_path):
+        with pytest.raises(FormatError) as caught:
+            load_xlsx(build_xlsx(tmp_path / "none.xlsx", []))
+        assert str(caught.value) == "workbook part declares no sheets"
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
